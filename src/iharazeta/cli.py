@@ -35,9 +35,13 @@ from .families import (
     verify_family,
 )
 from .intpoly import IntPoly, format_poly
-from .multigraph import parse_edge_list_text, validate_zeta_input
+from .multigraph import (
+    format_edge_list,
+    parse_edge_list_text,
+    validate_zeta_input,
+)
 from .ranktwo import completeness_check
-from .smallgraphs import canonical_key, connected_multigraphs
+from .smallgraphs import connected_multigraphs
 from .trees import (
     tree_count_closed_form,
     tree_count_from_zeta,
@@ -246,32 +250,39 @@ def _cmd_verify(args) -> int:
     failures = []
     enum_checked = 0
     for g in graphs:
-        label = f"n={g.n} key={canonical_key(g)}"
+        reasons = []
         bass = zeta_bass(g)
         line = zeta_line_det(g)
         if bass.poly != line.poly:
-            failures.append(f"{label}: bass != linedet")
+            reasons.append("bass != linedet")
         if 2 * g.edge_count <= args.enum_cap:
             enum = zeta_enum(g, cap=args.enum_cap)
             enum_checked += 1
             if enum.poly != bass.poly:
-                failures.append(f"{label}: enum != bass")
+                reasons.append("enum != bass")
         try:
             poly_invariants(bass.poly, g)
         except VerificationError as exc:
-            failures.append(f"{label}: {exc}")
+            reasons.append(str(exc))
+        if reasons:
+            # The label is the graph's edge-list text, so a failure replays
+            # with `zeta --graph`; it has no ": ", the separator before the
+            # reason in json output.
+            label = format_edge_list(g).rstrip("\n")
+            failures.extend((label, reason) for reason in reasons)
     if args.format == "json":
         _emit_json({
             "max_edges": args.max_edges,
             "graphs": len(graphs),
             "enum_checked": enum_checked,
-            "failures": failures,
+            "failures": [f"{label}: {reason}" for label, reason in failures],
         })
     else:
         print(f"checked {len(graphs)} multigraphs with at most "
               f"{args.max_edges} edges ({enum_checked} also via enum)")
-        for f in failures:
-            print(f"FAIL {f}")
+        for label, reason in failures:
+            print(f"FAIL {reason}")
+            print(label)
         if not failures:
             print("all engines agree")
     return 1 if failures else 0

@@ -3,43 +3,93 @@
 The engine-agreement sweep and the rank-two exhaustiveness audit both need
 every connected multigraph of minimum degree two with a bounded edge count.
 At that size (|E| <= 7, so |V| <= 7) brute force over multiplicity tables
-is fine as long as the recursion prunes early; isomorphism reduction works
-by taking the lexicographically least relabeling among the permutations
-that respect the (degree, loop count) vertex partition.
+is fine as long as the recursion prunes early. Isomorphism reduction keeps
+one table per canonical key, found by individualization-refinement (McKay
+and Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 2014):
+colour refinement from the (degree, loop count) partition, branching only
+on the cells refinement cannot split, and the least table encoding over
+the discrete colourings at the leaves of that search.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from itertools import permutations, product
+from collections import deque
 
 from .multigraph import Multigraph
 
 
-def canonical_key(g: Multigraph) -> tuple:
-    """Lexicographically least table encoding over admissible relabelings.
+def _ranks(labels):
+    """Replace each label by the rank of its value among the sorted values."""
+    rank = {s: i for i, s in enumerate(sorted(set(labels)))}
+    return [rank[s] for s in labels]
 
-    Any isomorphism preserves each vertex's degree and loop count, so it
-    suffices to permute within (degree, loops) classes; the minimum over
-    those permutations is a complete isomorphism invariant.
+
+def _refine(colour, nbrs):
+    """Coarsest equitable refinement of a vertex colouring.
+
+    A vertex's signature is its colour plus the sorted multiset of (edge
+    multiplicity, neighbour colour); the new colours are the ranks of the
+    signatures, so they depend on the graph and never on vertex labels, and
+    they keep the order of the cells they split.
     """
-    groups = defaultdict(list)
-    for v in range(g.n):
-        groups[(g.degree(v), g.loops[v])].append(v)
-    blocks = [groups[k] for k in sorted(groups)]
-    best = None
-    for choice in product(*[permutations(b) for b in blocks]):
-        perm = [v for blk in choice for v in blk]
-        loops = tuple(g.loops[perm[i]] for i in range(g.n))
-        upper = tuple(
-            g.mult[perm[i]][perm[j]]
-            for i in range(g.n)
-            for j in range(i + 1, g.n)
+    cells = len(set(colour))
+    while True:
+        colour = _ranks([
+            (colour[v], tuple(sorted((m, colour[w]) for m, w in nbrs[v])))
+            for v in range(len(colour))
+        ])
+        if max(colour) + 1 == cells:
+            return colour
+        cells = max(colour) + 1
+
+
+def canonical_key(g: Multigraph) -> tuple:
+    """Least table encoding over the leaves of an individualization-
+    refinement search; equal keys exactly for isomorphic multigraphs.
+
+    The search starts from the (degree, loop count) colouring and refines
+    it to an equitable partition. While some cell has more than one vertex,
+    it branches on every vertex of the first such cell in colour order:
+    that vertex gets a colour of its own and the colouring is refined
+    again. At a leaf every colour is a single vertex; listing the vertices
+    by colour gives the table (n, loops, upper triangle of multiplicities),
+    and the key is the least table over all leaves. Every step depends only
+    on colours, so relabelled copies reach the same set of leaves.
+
+    There is no automorphism pruning. Where refinement splits off nothing
+    but the chosen vertices, every ordering of a cell is a leaf: K(n) costs
+    n! leaves and is practical only to n = 7. Cycles, ladders and the
+    sweep's graphs need only a few choices.
+    """
+    n = g.n
+    nbrs = [
+        [(g.mult[v][w], w) for w in range(n) if g.mult[v][w]]
+        for v in range(n)
+    ]
+
+    def search(colour):
+        colour = _refine(colour, nbrs)
+        if max(colour) + 1 == n:  # discrete: a leaf
+            order = sorted(range(n), key=colour.__getitem__)
+            return (
+                n,
+                tuple(g.loops[v] for v in order),
+                tuple(
+                    g.mult[order[i]][order[j]]
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                ),
+            )
+        split = min(c for c in colour if colour.count(c) > 1)
+        # doubling keeps the cell order; v alone gets 2c + 1, after the
+        # rest of its cell
+        return min(
+            search([2 * c + (w == v) for w, c in enumerate(colour)])
+            for v in range(n)
+            if colour[v] == split
         )
-        key = (g.n, loops, upper)
-        if best is None or key < best:
-            best = key
-    return best
+
+    return search(_ranks([(g.degree(v), g.loops[v]) for v in range(n)]))
 
 
 def is_isomorphic(g: Multigraph, h: Multigraph) -> bool:

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-import numpy as np
-
 from .errors import ConsistencyError, SizeCapError, VerificationError
 from .intpoly import IntPoly
 from .multigraph import (
@@ -32,11 +30,6 @@ from .multigraph import (
     validate_zeta_input,
 )
 from .polydet import det_poly_matrix
-
-# int64 is provably safe for the enumeration DP up to this many line-graph
-# vertices (partial-structure counts are below n! * n << 2^63); beyond it
-# the pure-Python big-integer pass takes over.
-_NUMPY_DP_LIMIT = 16
 
 DEFAULT_ENUM_CAP = 16
 
@@ -215,39 +208,8 @@ def _packing_coefficients(olg: OrientedLineDigraph):
     a cycle flips the sign; the signed totals per support size are the
     coefficients.
     """
-    n = olg.n
-    if n <= _NUMPY_DP_LIMIT:
-        c = _dp_int64(n, olg.arcs)
-    else:
-        c = _dp_bigint(n, olg.arcs)
+    c = _dp_bigint(olg.n, olg.arcs)
     c[0] = 1
-    return c
-
-
-def _dp_int64(n: int, arcs):
-    t = np.array(arcs, dtype=np.int64)
-    size = 1 << n
-    f = np.zeros((size, n), dtype=np.int64)
-    bits = (1 << np.arange(n)).astype(np.int64)
-    idx = np.arange(n)
-    c = [0] * (n + 1)
-    for a in range(n):
-        f[1 << a, a] = 1
-    for mask in range(1, size):
-        active = f[mask]
-        if not active.any():
-            continue
-        anchor = (mask & -mask).bit_length() - 1
-        closed = -int(active @ t[:, anchor])
-        if closed:
-            c[bin(mask).count("1")] += closed
-            for a2 in range(anchor):
-                f[mask | (1 << a2), a2] += closed
-        ext = active @ t
-        allowed = (ext != 0) & ((mask & bits) == 0) & (idx > anchor)
-        js = np.nonzero(allowed)[0]
-        if js.size:
-            f[mask | bits[js], js] += ext[js]
     return c
 
 

@@ -11,6 +11,8 @@ import pytest
 from iharazeta import cli
 from iharazeta.cli import run
 from iharazeta.intpoly import IntPoly
+from iharazeta.multigraph import parse_edge_list_text
+from iharazeta.smallgraphs import connected_multigraphs
 
 TRIANGLE = "n 3\n0 1\n1 2\n2 0\n"
 
@@ -233,7 +235,28 @@ def test_verify_reports_engine_mismatch(monkeypatch, capsys):
     bad = SimpleNamespace(poly=IntPoly((1,)))
     monkeypatch.setattr(cli, "zeta_line_det", lambda g: bad)
     assert run(["verify", "--max-edges", "2"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    # the lines after a FAIL line are the graph's edge-list file
+    block = out.split("FAIL bass != linedet\n")[1].split("FAIL")[0]
+    assert parse_edge_list_text(block) in connected_multigraphs(2)
+
+
+def test_verify_failure_label_replays_the_graph(monkeypatch, capsys):
+    target = connected_multigraphs(3)[5]
+    real = cli.zeta_enum
+
+    def wrong_for_target(g, cap):
+        rep = real(g, cap=cap)
+        return SimpleNamespace(poly=-rep.poly) if g == target else rep
+
+    monkeypatch.setattr(cli, "zeta_enum", wrong_for_target)
+    assert run(["verify", "--max-edges", "3", "--format", "json"]) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert len(failures) == 1
+    label, reason = failures[0].split(": ", 1)
+    assert reason == "enum != bass"
+    assert parse_edge_list_text(label) == target
 
 
 # --- exit codes ---

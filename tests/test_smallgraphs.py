@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import combinations
+
+import pytest
 
 from iharazeta.families import gen_family, parse_family_spec
 from iharazeta.multigraph import build_multigraph, structural_report
@@ -73,9 +76,13 @@ def test_order_is_deterministic():
 
 def test_canonical_key_is_relabeling_invariant():
     rng = random.Random(55)
+    # the last five exceed the sweep's size; all but G(5,6) are
+    # vertex-transitive, so refinement alone splits nothing, and C(12) has
+    # 12! orderings of its one (degree, loops) cell
     samples = [
         gen_family(parse_family_spec(t))
-        for t in ("G(3,4)", "k4-minus", "loop-bigon", "D(2,1,3)", "Kb(2,3)")
+        for t in ("G(3,4)", "k4-minus", "loop-bigon", "D(2,1,3)", "Kb(2,3)",
+                  "C(12)", "C(20)", "M(8)", "O(8)", "G(5,6)")
     ]
     for g in samples:
         key = canonical_key(g)
@@ -85,6 +92,33 @@ def test_canonical_key_is_relabeling_invariant():
             h = relabel(g, perm)
             assert canonical_key(h) == key
             assert is_isomorphic(g, h)
+
+
+def test_canonical_key_is_invariant_on_every_sweep_class(sweep7):
+    rng = random.Random(7)
+    for g in sweep7:
+        if g.edge_count > 6:
+            continue
+        key = canonical_key(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_key(relabel(g, perm)) == key
+
+
+def test_sweep_classes_are_pairwise_non_isomorphic_by_networkx(sweep7):
+    nx = pytest.importorskip("networkx")
+    buckets = defaultdict(list)
+    for g in sweep7:
+        if g.edge_count <= 6:
+            h = nx.MultiGraph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edge_list())
+            buckets[(g.n, g.edge_count, tuple(sorted(g.degrees())))].append(h)
+    assert sum(len(b) for b in buckets.values()) == 156
+    for bucket in buckets.values():
+        for a, b in combinations(bucket, 2):
+            assert not nx.is_isomorphic(a, b)
 
 
 def test_is_isomorphic_separates_equal_degree_sequences():

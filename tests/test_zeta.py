@@ -15,8 +15,6 @@ from iharazeta.multigraph import build_multigraph
 from iharazeta.polydet import det_poly_matrix
 from iharazeta.zeta import (
     ZetaReport,
-    _dp_bigint,
-    _dp_int64,
     census_coefficient,
     enumerate_directed_cycles,
     linear_subgraph_census,
@@ -208,13 +206,8 @@ def test_census_reproduces_enum_coefficients(sweep7):
             assert census_coefficient(census, k) == poly.coeff(k)
 
 
-def test_dp_paths_agree_across_the_int64_boundary():
-    arcs = oriented_line_graph(two_cycles_joined(3, 4)).arcs
-    assert _dp_int64(14, arcs) == _dp_bigint(14, arcs)
-
-
 def test_enum_beyond_int64_limit():
-    g = two_cycles_joined(4, 5)  # 18 directed edges, above the int64 cutoff
+    g = two_cycles_joined(4, 5)  # 18 directed edges, above the default cap
     assert zeta_enum(g, cap=18).poly == zeta_bass(g).poly
 
 
