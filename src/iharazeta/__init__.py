@@ -30,18 +30,19 @@ from .families import (
     parse_family_spec,
     verify_family,
 )
-from .intpoly import IntPoly, format_poly, lagrange_interpolate
+from .intpoly import IntPoly, format_poly
 from .multigraph import (
     Multigraph,
     StructuralReport,
     build_multigraph,
     format_edge_list,
     kirchhoff_tree_count,
+    parse_edge_list,
     parse_edge_list_text,
     structural_report,
     validate_zeta_input,
 )
-from .polydet import bareiss_int_det, det_poly_matrix
+from .polydet import bareiss_int_det, reversed_charpoly
 from .ranktwo import (
     RankTwoSpec,
     canonicalize,
@@ -94,17 +95,17 @@ __all__ = [
     "verify_family",
     "IntPoly",
     "format_poly",
-    "lagrange_interpolate",
     "Multigraph",
     "StructuralReport",
     "build_multigraph",
     "format_edge_list",
     "kirchhoff_tree_count",
+    "parse_edge_list",
     "parse_edge_list_text",
     "structural_report",
     "validate_zeta_input",
     "bareiss_int_det",
-    "det_poly_matrix",
+    "reversed_charpoly",
     "RankTwoSpec",
     "canonicalize",
     "completeness_check",

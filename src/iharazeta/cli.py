@@ -36,8 +36,9 @@ from .families import (
 )
 from .intpoly import IntPoly, format_poly
 from .multigraph import (
+    build_multigraph,
     format_edge_list,
-    parse_edge_list_text,
+    parse_edge_list,
     validate_zeta_input,
 )
 from .ranktwo import completeness_check
@@ -65,7 +66,14 @@ def _load_graph(path):
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    g = parse_edge_list_text(text)
+    n_vertices, edges = parse_edge_list(text)
+    # min degree 2 implies |V| <= |E|; checked before any |V| x |V| table
+    if n_vertices > len(edges):
+        raise GraphValidationError(
+            f"graph has {n_vertices} vertices but {len(edges)} edges; a "
+            "connected graph of min degree 2 needs |V| <= |E|"
+        )
+    g = build_multigraph(edges, n_vertices)
     validate_zeta_input(g)
     return g
 

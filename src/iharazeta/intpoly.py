@@ -8,9 +8,7 @@ rank-two collision check relies on.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import ConsistencyError
+from math import factorial
 
 
 class IntPoly:
@@ -28,18 +26,6 @@ class IntPoly:
         raise AttributeError("IntPoly is immutable")
 
     # --- constructors ---
-
-    @staticmethod
-    def zero() -> "IntPoly":
-        return IntPoly(())
-
-    @staticmethod
-    def one() -> "IntPoly":
-        return IntPoly((1,))
-
-    @staticmethod
-    def constant(c: int) -> "IntPoly":
-        return IntPoly((c,))
 
     @staticmethod
     def monomial(power: int, coeff: int = 1) -> "IntPoly":
@@ -151,47 +137,23 @@ class IntPoly:
             n >>= 1
         return result
 
-    def divexact(self, other: "IntPoly") -> "IntPoly":
-        """Exact polynomial division; raises ConsistencyError on remainder.
-
-        Used by the fraction-free determinant strategy, where every division
-        by the previous pivot is exact by Sylvester's identity. A nonzero
-        remainder therefore signals an arithmetic bug, not bad input.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return IntPoly()
-        rem = list(self.coeffs)
-        b = other.coeffs
-        lead = b[-1]
-        qlen = len(rem) - len(b) + 1
-        if qlen <= 0:
-            raise ConsistencyError("divexact: degree of dividend below divisor")
-        q = [0] * qlen
-        for i in range(qlen - 1, -1, -1):
-            head = rem[i + len(b) - 1]
-            if head % lead:
-                raise ConsistencyError("divexact: inexact leading division")
-            qi = head // lead
-            q[i] = qi
-            if qi:
-                for j, bj in enumerate(b):
-                    rem[i + j] -= qi * bj
-        if any(rem):
-            raise ConsistencyError("divexact: nonzero remainder")
-        return IntPoly(q)
-
     # --- calculus and evaluation ---
 
     def derivative(self, order: int = 1) -> "IntPoly":
-        """Exact iterated formal derivative."""
+        """Exact iterated formal derivative, in one pass.
+
+        The coefficient of u^k moves to u^(k - order), multiplied by the
+        falling factorial k!/(k - order)!, updated from k to k + 1.
+        """
         if order < 0:
             raise ValueError("order must be >= 0")
         cs = self.coeffs
-        for _ in range(order):
-            cs = tuple(k * cs[k] for k in range(1, len(cs)))
-        return IntPoly(cs)
+        out = []
+        falling = factorial(order)
+        for k in range(order, len(cs)):
+            out.append(falling * cs[k])
+            falling = falling * (k + 1) // (k + 1 - order)
+        return IntPoly(out)
 
     def eval_at(self, x):
         """Exact Horner evaluation; x may be int, Fraction, float or complex."""
@@ -266,39 +228,3 @@ def format_poly(p: IntPoly, var: str = "u", ascending: bool = True) -> str:
             parts.append(f"{sign} {body}")
     return " ".join(parts)
 
-
-def lagrange_interpolate(points) -> IntPoly:
-    """Interpolate integer samples (x_i, y_i) into an IntPoly.
-
-    The interpolation runs over exact rationals; if any resulting
-    coefficient is not an integer that is a ConsistencyError (the callers
-    guarantee the underlying function is an integer polynomial of degree
-    below the number of points).
-    """
-    pts = list(points)
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must be distinct")
-    n = len(pts)
-    # Newton's divided differences over Fraction, then Horner expansion
-    # of the Newton form back into monomial coefficients.
-    table = [Fraction(y) for _, y in pts]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
-    coeffs = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        shifted = [Fraction(0)] * n
-        for k in range(n - 1):
-            shifted[k + 1] += coeffs[k]
-            shifted[k] -= xs[i] * coeffs[k]
-        shifted[0] += table[i]
-        coeffs = shifted
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ConsistencyError(
-                f"interpolation produced non-integer coefficient {c}"
-            )
-        out.append(c.numerator)
-    return IntPoly(out)

@@ -127,6 +127,12 @@ def parse_edge_list_text(text: str) -> Multigraph:
     ``u u`` denotes a loop, repeated lines accumulate multiplicity, ``#``
     starts a comment (whole-line or trailing).
     """
+    n_vertices, edges = parse_edge_list(text)
+    return build_multigraph(edges, n_vertices)
+
+
+def parse_edge_list(text: str):
+    """(n_vertices, [(u, v), ...]) from the text format; builds nothing."""
     n_vertices = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -152,7 +158,7 @@ def parse_edge_list_text(text: str) -> Multigraph:
             raise InputError(f"line {lineno}: bad vertex index") from exc
     if n_vertices is None:
         raise InputError("empty graph file (missing 'n <vertex_count>' header)")
-    return build_multigraph(edges, n_vertices)
+    return n_vertices, edges
 
 
 def format_edge_list(g: Multigraph) -> str:

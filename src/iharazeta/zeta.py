@@ -11,9 +11,11 @@ computations of it live here:
                  packings (linear subgraphs) of the oriented line graph,
                  one coefficient per packing size.
 
-The first two run in polynomial time; the enumeration engine is an
-exponential oracle capped by the number of directed edges. Their exact
-agreement on every small multigraph is the package's core acceptance test.
+The first two run in polynomial time through one exact det(I - uM)
+kernel; their independence lies in the matrices they pass it. The
+enumeration engine shares no arithmetic with them; it is an exponential
+oracle capped by the number of directed edges. The exact agreement of all
+three on every small multigraph is the package's core acceptance test.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .multigraph import (
     structural_report,
     validate_zeta_input,
 )
-from .polydet import det_poly_matrix
+from .polydet import bareiss_int_det, reversed_charpoly
 
 DEFAULT_ENUM_CAP = 16
 
@@ -145,37 +147,54 @@ def _make_report(poly: IntPoly, engine: str, g: Multigraph) -> ZetaReport:
 
 # --- engine A: three-term determinant ---
 
-def zeta_bass(g: Multigraph, strategy: str = "interp") -> ZetaReport:
-    """(1 - u^2)^(r-1) * det(I - Au + Qu^2), all exact."""
+def zeta_bass(g: Multigraph) -> ZetaReport:
+    """(1 - u^2)^(r-1) * det(I - Au + Qu^2), all exact.
+
+    The determinant is det(I - uB) for the 2|V| x 2|V| linearisation
+    B = [[A, -Q], [I, 0]] (the reduced non-backtracking matrix of
+    Krzakala et al., PNAS 2013): eliminating the lower block by a Schur
+    complement leaves det(I - Au + Qu^2).
+    """
     validate_zeta_input(g)
     a, q = matrices(g)
     n = g.n
-    m = [
-        [
-            IntPoly((1 if i == j else 0, -a[i][j], q[i][j] if i == j else 0))
-            for j in range(n)
-        ]
+    b = [a[i] + [-x for x in q[i]] for i in range(n)]
+    b += [[int(i == j) for j in range(n)] + [0] * n for i in range(n)]
+    det = _checked_kernel(b, [
+        [int(i == j) - 2 * a[i][j] + 4 * q[i][j] for j in range(n)]
         for i in range(n)
-    ]
-    det = det_poly_matrix(m, degree_bound=2 * n, strategy=strategy)
-    poly = det * (IntPoly((1, 0, -1)) ** (g.rank - 1))
-    return _make_report(poly, "bass", g)
+    ], "bass")
+    # (1 - u^2)^(r-1) from binomial coefficients
+    k, binom, factor = g.rank - 1, 1, []
+    for i in range(k + 1):
+        factor += (-binom if i & 1 else binom, 0)
+        binom = binom * (k - i) // (i + 1)
+    return _make_report(IntPoly(factor) * det, "bass", g)
 
 
 # --- engine B: line-graph determinant ---
 
-def zeta_line_det(g: Multigraph, strategy: str = "interp") -> ZetaReport:
+def zeta_line_det(g: Multigraph) -> ZetaReport:
     """det(I - uT) over the oriented line graph."""
     olg = oriented_line_graph(g)
-    m = [
-        [
-            IntPoly((1 if i == j else 0, -olg.arcs[i][j]))
-            for j in range(olg.n)
-        ]
+    t = olg.arc_matrix()
+    det = _checked_kernel(t, [
+        [int(i == j) - 2 * t[i][j] for j in range(olg.n)]
         for i in range(olg.n)
-    ]
-    det = det_poly_matrix(m, degree_bound=olg.n, strategy=strategy)
+    ], "linedet")
     return _make_report(det, "linedet", g)
+
+
+def _checked_kernel(m, matrix_at_two, engine: str) -> IntPoly:
+    """det(I - uM), overdetermined by an independent Bareiss determinant of
+    the engine's own matrix at u = 2."""
+    det, want = reversed_charpoly(m), bareiss_int_det(matrix_at_two)
+    if det.eval_at(2) != want:
+        raise ConsistencyError(
+            f"{engine}: determinant polynomial at u = 2 is {det.eval_at(2)}, "
+            f"Bareiss on the matrix at u = 2 gives {want}"
+        )
+    return det
 
 
 # --- engine C: linear-subgraph enumeration ---

@@ -270,6 +270,19 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_more_vertices_than_edges_is_rejected(tmp_path, capsys):
+    # min degree 2 forces |V| <= |E|; the file is refused on its header
+    # count, naming both counts, before any |V| x |V| table exists
+    path = write_graph(tmp_path, "n 3000\n")
+    assert run(["zeta", "--graph", path]) == 2
+    err = capsys.readouterr().err
+    assert "3000 vertices" in err and "0 edges" in err
+    path = write_graph(tmp_path, "n 4\n0 1\n1 2\n2 0\n", name="t.txt")
+    assert run(["trees", "--graph", path]) == 2
+    err = capsys.readouterr().err
+    assert "4 vertices" in err and "3 edges" in err
+
+
 def test_enum_cap_exit_code(tmp_path, capsys):
     k5 = "n 5\n" + "\n".join(
         f"{i} {j}" for i in range(5) for j in range(i + 1, 5)

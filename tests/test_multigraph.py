@@ -15,6 +15,7 @@ from iharazeta.multigraph import (
     format_edge_list,
     kirchhoff_tree_count,
     matrices,
+    parse_edge_list,
     parse_edge_list_text,
     structural_report,
     validate_zeta_input,
@@ -113,6 +114,12 @@ def test_neighbors_skip_loops():
 
 def test_parse_basic():
     assert parse_edge_list_text("n 3\n0 1\n1 2\n2 0\n") == cycle(3)
+
+
+def test_parse_edge_list_gives_counts_before_building():
+    # a header count no edge can support is returned as is, not allocated
+    assert parse_edge_list("n 3000\n") == (3000, [])
+    assert parse_edge_list("n 2\n0 1\n1 1 # loop\n") == (2, [(0, 1), (1, 1)])
 
 
 def test_parse_comments_and_blank_lines():

@@ -1,13 +1,15 @@
-"""Exact determinants: integer Bareiss and the two polynomial strategies."""
+"""Exact determinants: integer Bareiss and the reversed characteristic
+polynomial kernel det(I - uM)."""
 
 import random
 from itertools import permutations
+from math import prod
 
 import pytest
 
-from iharazeta.errors import ConsistencyError
+from iharazeta import polydet
 from iharazeta.intpoly import IntPoly
-from iharazeta.polydet import bareiss_int_det, det_poly_matrix, evaluation_points
+from iharazeta.polydet import bareiss_int_det, reversed_charpoly
 
 
 def leibniz_det(m):
@@ -59,66 +61,155 @@ def test_bareiss_row_swap_sign():
         assert bareiss_int_det(swapped) == -bareiss_int_det(m)
 
 
-def test_evaluation_points():
-    assert list(evaluation_points(5)) == [0, 1, -1, 2, -2]
-    pts = list(evaluation_points(11))
-    assert len(pts) == len(set(pts)) == 11
+def at_point(m, x):
+    """det(I - xM) by Bareiss: the reference the kernel is checked against."""
+    n = len(m)
+    return bareiss_int_det(
+        [[int(i == j) - x * m[i][j] for j in range(n)] for i in range(n)]
+    )
 
 
-def rand_poly_matrix(rng, n, max_degree=2):
-    return [
-        [
-            IntPoly([rng.randint(-5, 5) for _ in range(max_degree + 1)])
+def assert_matches_bareiss(m):
+    f = reversed_charpoly(m)
+    assert f.degree <= len(m)
+    for x in (-3, -1, 0, 1, 2, 3, 7):
+        assert f.eval_at(x) == at_point(m, x)
+    return f
+
+
+def test_reversed_charpoly_known_values():
+    assert reversed_charpoly([]) == IntPoly((1,))
+    assert reversed_charpoly([[5]]) == IntPoly((1, -5))
+    # det(I - uM) = 1 - tr(M) u + det(M) u^2 for 2 x 2
+    assert reversed_charpoly([[1, 2], [3, 4]]) == IntPoly((1, -5, -2))
+    with pytest.raises(ValueError):
+        reversed_charpoly([[1, 2]])
+
+
+def test_reversed_charpoly_vs_bareiss_random():
+    rng = random.Random(14)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 1.0))
+        m = [
+            [rng.randint(-9, 9) if rng.random() < density else 0
+             for _ in range(n)]
             for _ in range(n)
         ]
-        for _ in range(n)
+        assert_matches_bareiss(m)
+
+
+def test_reversed_charpoly_singular_nilpotent_permutation():
+    rng = random.Random(15)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        # singular: a repeated row
+        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        m[-1] = list(m[0])
+        assert_matches_bareiss(m)
+        # nilpotent: strictly upper triangular, conjugated by a unimodular
+        # lower-triangular L so that the reduction has work to do
+        upper = [[rng.randint(-5, 5) if j > i else 0 for j in range(n)]
+                 for i in range(n)]
+        low = [[1 if i == j else (rng.randint(-2, 2) if i > j else 0)
+                for j in range(n)] for i in range(n)]
+        low_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+        for c in range(n):  # forward substitution, exact over the integers
+            for i in range(c + 1, n):
+                low_inv[i][c] = -sum(low[i][k] * low_inv[k][c]
+                                     for k in range(c, i))
+        nil = matmul(matmul(low, upper), low_inv)
+        assert assert_matches_bareiss(nil) == IntPoly((1,))
+        # permutation: det(I - uP) = prod over cycles of (1 - u^length)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        p = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+        expected = IntPoly((1,))
+        seen = set()
+        for start in range(n):
+            length = 0
+            v = start
+            while v not in seen:
+                seen.add(v)
+                v = perm[v]
+                length += 1
+            if length:
+                expected = expected * (IntPoly((1,)) - IntPoly.monomial(length))
+        assert assert_matches_bareiss(p) == expected
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def test_reversed_charpoly_zero_subdiagonal_during_reduction():
+    # block upper-triangular: the first column is zero below row 1, so the
+    # reduction skips a step and the characteristic polynomial splits
+    rng = random.Random(16)
+    for _ in range(40):
+        a = rng.randint(1, 4)
+        b = rng.randint(1, 4)
+        n = a + b
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        for i in range(a, n):
+            for j in range(a):
+                m[i][j] = 0
+        top = [row[:a] for row in m[:a]]
+        bottom = [row[a:] for row in m[a:]]
+        f = assert_matches_bareiss(m)
+        assert f == reversed_charpoly(top) * reversed_charpoly(bottom)
+    # diagonal and triangular matrices reduce to nothing at all
+    assert assert_matches_bareiss([[2, 7, 1], [0, -3, 4], [0, 0, 5]]) == (
+        IntPoly((1, -2)) * IntPoly((1, 3)) * IntPoly((1, -5))
+    )
+
+
+def test_reversed_charpoly_needs_several_primes(monkeypatch):
+    rng = random.Random(17)
+    n = 4
+    m = [[rng.randint(-(2 ** 100), 2 ** 100) for _ in range(n)]
+         for _ in range(n)]
+    primes = []
+    inner = polydet._charpoly_mod
+
+    def counting(matrix, p):
+        primes.append(p)
+        return inner(matrix, p)
+
+    monkeypatch.setattr(polydet, "_charpoly_mod", counting)
+    f = assert_matches_bareiss(m)
+    assert len(primes) >= 3
+    assert len(set(primes)) == len(primes)
+    assert all(p.bit_length() == 62 for p in primes)
+    assert max(abs(c) for c in f.coeffs).bit_length() > 300
+
+
+def test_coefficient_bound_holds():
+    # |c_k| <= prod_i (1 + ||row_i||_1), the bound the CRT stops at
+    def bound(m):
+        return prod(1 + sum(map(abs, row)) for row in m)
+
+    rng = random.Random(18)
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert all(abs(c) <= bound(m) for c in reversed_charpoly(m).coeffs)
+    # -I: the coefficients are the binomials C(n, k), the bound is 2^n
+    n = 6
+    m = [[-int(i == j) for j in range(n)] for i in range(n)]
+    assert reversed_charpoly(m) == IntPoly((1, 1)) ** n
+    assert bound(m) == 2 ** n
+
+
+def test_prime_search():
+    sieve = [True] * 20000
+    for i in range(2, 142):
+        sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [n for n in range(39, 20000, 2) if polydet._is_prime(n)] == [
+        n for n in range(39, 20000, 2) if sieve[n]
     ]
-
-
-def test_strategies_agree_random():
-    rng = random.Random(13)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        m = rand_poly_matrix(rng, n)
-        bound = 2 * n
-        a = det_poly_matrix(m, degree_bound=bound, strategy="interp")
-        b = det_poly_matrix(m, degree_bound=bound, strategy="ring")
-        assert a == b
-
-
-def test_det_triangular_is_diagonal_product():
-    d0, d1, d2 = IntPoly((1, 2)), IntPoly((0, 0, 3)), IntPoly((-1, 1))
-    m = [
-        [d0, IntPoly((5,)), IntPoly((1, 1))],
-        [IntPoly.zero(), d1, IntPoly((2,))],
-        [IntPoly.zero(), IntPoly.zero(), d2],
-    ]
-    expected = d0 * d1 * d2
-    for strategy in ("interp", "ring"):
-        assert det_poly_matrix(m, degree_bound=5, strategy=strategy) == expected
-
-
-def test_det_with_zero_pivot_polynomial():
-    # top-left entry is the zero polynomial; both strategies must pivot
-    m = [
-        [IntPoly.zero(), IntPoly((1, 1))],
-        [IntPoly((1, -1)), IntPoly((0, 1))],
-    ]
-    expected = -(IntPoly((1, 1)) * IntPoly((1, -1)))
-    for strategy in ("interp", "ring"):
-        assert det_poly_matrix(m, degree_bound=2, strategy=strategy) == expected
-
-
-def test_degree_bound_underestimate_is_caught():
-    m = [
-        [IntPoly((0, 0, 1)), IntPoly.zero()],
-        [IntPoly.zero(), IntPoly((0, 0, 1))],
-    ]
-    # true determinant is u^4; a bound of 2 fits only degree <= 2
-    with pytest.raises(ConsistencyError):
-        det_poly_matrix(m, degree_bound=2, strategy="interp")
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        det_poly_matrix([[IntPoly.one()]], degree_bound=0, strategy="nope")
+    # strong pseudoprimes to the first several prime bases
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321):
+        assert not polydet._is_prime(n)
+    assert polydet._prime(0) == 2 ** 62 - 57  # the largest prime below 2^62

@@ -12,7 +12,8 @@ from iharazeta.errors import (
 )
 from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import build_multigraph
-from iharazeta.polydet import det_poly_matrix
+from iharazeta import zeta
+from iharazeta.polydet import reversed_charpoly
 from iharazeta.zeta import (
     ZetaReport,
     census_coefficient,
@@ -107,19 +108,15 @@ def test_bigon_line_graph_cycles():
 def test_arc_matrix_transpose_gives_same_determinant():
     g = two_cycles_joined(3, 4)
     olg = oriented_line_graph(g)
-    n = olg.n
-    m = [
-        [IntPoly((1 if i == j else 0, -olg.arcs[j][i])) for j in range(n)]
-        for i in range(n)
-    ]
-    assert det_poly_matrix(m, degree_bound=n) == zeta_line_det(g).poly
+    transpose = [list(col) for col in zip(*olg.arcs)]
+    assert reversed_charpoly(transpose) == zeta_line_det(g).poly
 
 
 # --- frozen values ---
 
 def test_cycle_fixtures():
     for n in range(1, 6):
-        expected = (IntPoly.one() - IntPoly.monomial(n)) ** 2
+        expected = (IntPoly((1,)) - IntPoly.monomial(n)) ** 2
         for engine in (zeta_bass, zeta_line_det, zeta_enum):
             assert engine(cycle(n)).poly == expected
 
@@ -168,12 +165,16 @@ def test_engines_agree_on_small_sweep(sweep7):
         assert zeta_enum(g).poly == a
 
 
-def test_ring_strategy_matches_interp(sweep7):
-    for g in sweep7:
-        if g.edge_count > 3:
-            continue
-        assert zeta_bass(g, strategy="ring").poly == zeta_bass(g).poly
-        assert zeta_line_det(g, strategy="ring").poly == zeta_line_det(g).poly
+@pytest.mark.parametrize("engine", [zeta_bass, zeta_line_det])
+def test_wrong_kernel_coefficient_fails_the_check_point(monkeypatch, engine):
+    def off_by_one(matrix):
+        cs = list(reversed_charpoly(matrix).coeffs)
+        cs[len(cs) // 2] += 1  # neither the constant nor the leading term
+        return IntPoly(cs)
+
+    monkeypatch.setattr(zeta, "reversed_charpoly", off_by_one)
+    with pytest.raises(ConsistencyError, match="at u = 2"):
+        engine(two_cycles_joined(3, 4))
 
 
 def test_engines_validate_input():
