@@ -159,10 +159,42 @@ def test_reversed_charpoly_zero_subdiagonal_during_reduction():
         bottom = [row[a:] for row in m[a:]]
         f = assert_matches_bareiss(m)
         assert f == reversed_charpoly(top) * reversed_charpoly(bottom)
-    # diagonal and triangular matrices reduce to nothing at all
-    assert assert_matches_bareiss([[2, 7, 1], [0, -3, 4], [0, 0, 5]]) == (
-        IntPoly((1, -2)) * IntPoly((1, 3)) * IntPoly((1, -5))
-    )
+
+
+def test_det_triangular_is_diagonal_product():
+    # det(I - uM) of a triangular M is prod_i (1 - m_ii u); the reduction
+    # has nothing to do on an upper one and everything on a lower one
+    upper = [[2, 7, 1], [0, -3, 4], [0, 0, 5]]
+    expected = IntPoly((1, -2)) * IntPoly((1, 3)) * IntPoly((1, -5))
+    assert assert_matches_bareiss(upper) == expected
+    lower = [list(col) for col in zip(*upper)]
+    assert assert_matches_bareiss(lower) == expected
+    rng = random.Random(19)
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        m = [[rng.randint(-9, 9) if j >= i else 0 for j in range(n)]
+             for i in range(n)]
+        expected = IntPoly((1,))
+        for i in range(n):
+            expected = expected * IntPoly((1, -m[i][i]))
+        assert assert_matches_bareiss(m) == expected
+        assert assert_matches_bareiss([list(c) for c in zip(*m)]) == expected
+
+
+def test_det_with_zero_pivot_polynomial():
+    # the subdiagonal entry the reduction would divide by is zero, so it
+    # must swap in a lower row (and the matching column) first
+    m = [[1, 2, 3], [0, 4, 5], [6, 7, 8]]
+    f = assert_matches_bareiss(m)
+    # det(I - uM) = 1 - tr(M) u + (sum of principal 2 x 2 minors) u^2 - det(M) u^3
+    assert f == IntPoly((1, -13, -9, 15))
+    # an entry that is nonzero over the integers but zero modulo the first
+    # prime: the pivot search must see the residue, not the integer
+    p = polydet._prime(0)
+    m = [[1, 2, 3], [p, 4, 5], [6, 7, 8]]
+    assert_matches_bareiss(m)
+    m = [[1, 2, 3], [p, 4, 5], [p, 7, 8]]  # whole column zero mod p
+    assert_matches_bareiss(m)
 
 
 def test_reversed_charpoly_needs_several_primes(monkeypatch):
