@@ -296,6 +296,16 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def _int_at_least(low):
+    """argparse type for an int >= low: bad sizes exit 2 before any work."""
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="iharazeta",
@@ -313,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edge-list file ('n <count>' header, 'u v' lines)")
     z.add_argument("--engine", choices=("bass", "linedet", "enum", "all"),
                    default="bass")
-    z.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
+    z.add_argument("--enum-cap", type=_int_at_least(0),
+                   default=DEFAULT_ENUM_CAP,
                    help="largest directed-edge count the enum engine accepts")
     add_format(z)
     z.set_defaults(fn=_cmd_zeta)
@@ -339,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=_cmd_rank2)
 
     v = sub.add_parser("verify", help="engine-agreement sweep")
-    v.add_argument("--max-edges", type=int, required=True)
-    v.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+    v.add_argument("--max-edges", type=_int_at_least(1), required=True)
+    v.add_argument("--enum-cap", type=_int_at_least(0),
+                   default=DEFAULT_ENUM_CAP)
     add_format(v)
     v.set_defaults(fn=_cmd_verify)
     return ap

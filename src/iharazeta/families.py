@@ -56,8 +56,6 @@ SHORTHAND = {
 }
 _TAG_TO_SHORT = {tag: short for short, tag in SHORTHAND.items()}
 
-_ONE_MINUS_U2 = IntPoly((1, 0, -1))
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -363,7 +361,7 @@ def closed_form(spec: FamilySpec, exact_only: bool = False):
     if tag == "Complete":
         n = p[0]
         return (
-            _ONE_MINUS_U2 ** (n * (n - 3) // 2)
+            IntPoly.one_minus_u2_pow(n * (n - 3) // 2)
             * IntPoly((1, 1, n - 2)) ** (n - 1)
             * IntPoly((1, 1 - n, n - 2))
         )
@@ -372,7 +370,7 @@ def closed_form(spec: FamilySpec, exact_only: bool = False):
         # to the plain complete-graph formula, which pins the sign.
         n, k = p
         return (
-            _ONE_MINUS_U2 ** (n * (n - 3) // 2 + n * k)
+            IntPoly.one_minus_u2_pow(n * (n - 3) // 2 + n * k)
             * IntPoly((1, 1 - 2 * k, 2 * k + n - 2)) ** (n - 1)
             * IntPoly((1, -(n + 2 * k - 1), 2 * k + n - 2))
         )
@@ -381,12 +379,12 @@ def closed_form(spec: FamilySpec, exact_only: bool = False):
         f = IntPoly((1, 0, m - 1))
         g = IntPoly((1, 0, n - 1))
         bracket = f ** n * g ** m - m * n * IntPoly((0, 0, 1)) * f ** (n - 1) * g ** (m - 1)
-        return _ONE_MINUS_U2 ** (m * n - m - n) * bracket
+        return IntPoly.one_minus_u2_pow(m * n - m - n) * bracket
     if tag == "CocktailParty":
         h = p[0] // 2
         quartic = IntPoly((1, 2, 4 * h - 6, 4 * h - 6, (2 * h - 3) ** 2))
         return (
-            _ONE_MINUS_U2 ** (2 * h * h - 4 * h)
+            IntPoly.one_minus_u2_pow(2 * h * h - 4 * h)
             * quartic ** (h - 1)
             * IntPoly((1, 0, 2 * h - 3))
             * IntPoly((1, 2 - 2 * h, 2 * h - 3))
@@ -395,7 +393,7 @@ def closed_form(spec: FamilySpec, exact_only: bool = False):
         h = p[0] // 2
         sq = IntPoly((1, 0, h - 2)) ** 2
         return (
-            _ONE_MINUS_U2 ** (h * (h - 3))
+            IntPoly.one_minus_u2_pow(h * (h - 3))
             * (sq - IntPoly((0, 0, 1))) ** (h - 1)
             * (sq - IntPoly((0, 0, (1 - h) ** 2)))
         )
@@ -445,12 +443,13 @@ def closed_form(spec: FamilySpec, exact_only: bool = False):
         ])
     if tag == "Bouquet":
         a = p[0]
-        return _ONE_MINUS_U2 ** (a - 1) * IntPoly((1, -2 * a, 2 * a - 1))
+        return IntPoly.one_minus_u2_pow(a - 1) * IntPoly((1, -2 * a, 2 * a - 1))
     if tag == "Dumbbell":
         a, b, c = p
         f1 = IntPoly((1, -2 * a, 2 * a + c - 1))
         f2 = IntPoly((1, -2 * b, 2 * b + c - 1))
-        return _ONE_MINUS_U2 ** (a + b + c - 2) * (f1 * f2 - IntPoly((0, 0, c * c)))
+        return (IntPoly.one_minus_u2_pow(a + b + c - 2)
+                * (f1 * f2 - IntPoly((0, 0, c * c))))
     if tag == "ThreeVertex":
         # Cofactor expansion of I - Au + Qu^2 done by hand, so this stays
         # independent of the determinant engines.
@@ -467,7 +466,7 @@ def closed_form(spec: FamilySpec, exact_only: bool = False):
             + m13 * (m12 * m23 - d2 * m13)
         )
         rank_less_1 = a1 + a2 + a3 + b12 + b13 + b23 - 3
-        return _ONE_MINUS_U2 ** rank_less_1 * det
+        return IntPoly.one_minus_u2_pow(rank_less_1) * det
     raise InputError(f"unknown family tag {tag!r}")
 
 

@@ -35,6 +35,17 @@ class IntPoly:
         return IntPoly((0,) * power + (coeff,))
 
     @staticmethod
+    def one_minus_u2_pow(k: int) -> "IntPoly":
+        """(1 - u^2)^k from its binomial coefficients, with no products."""
+        if k < 0:
+            raise ValueError("negative power")
+        cs, binom = [], 1
+        for i in range(k + 1):
+            cs += (-binom if i & 1 else binom, 0)
+            binom = binom * (k - i) // (i + 1)
+        return IntPoly(cs)
+
+    @staticmethod
     def from_terms(terms) -> "IntPoly":
         """Sum of (power, coeff) pairs; repeated powers accumulate."""
         acc: dict[int, int] = {}

@@ -1,9 +1,10 @@
 """Exact determinants: bareiss_int_det over the integers, and
-reversed_charpoly, the det(I - uM) kernel both determinant engines share
-(Hessenberg reduction modulo 62-bit primes plus CRT)."""
+reversed_charpoly, the det(I - uM) kernel of both determinant engines (one
+pass modulo a Proth prime above twice a Euclidean Hadamard bound)."""
 
 from __future__ import annotations
 
+from functools import cache
 from math import prod
 
 from .intpoly import IntPoly
@@ -39,32 +40,26 @@ def reversed_charpoly(matrix) -> IntPoly:
     """det(I - uM) for a square matrix M of Python ints, exactly.
 
     This is the characteristic polynomial det(xI - M) with its coefficient
-    list reversed. It is computed modulo successive 62-bit primes and
-    combined by CRT until the modulus exceeds 2B, B = prod_i (1 +
-    ||row_i(M)||_1), so each coefficient is the residue of least absolute
-    value.
+    list reversed, computed in one pass modulo a single prime P > 2B,
+    B^2 = prod_i sum_j (|m_ij| + [i = j])^2, as residues of least absolute
+    value. P is the least Proth prime above 2^b, where 2^(2b) > 4B^2 is
+    checked in integers, so no square root is taken.
 
     B bounds every |c_k| of f(u) = det(I - uM) = sum_k c_k u^k. Proof:
     Cauchy's estimate on the unit circle gives |c_k| <= max_{|u|=1} |f(u)|.
     For |u| = 1, Hadamard's inequality bounds |det(I - uM)| by the product
-    of the Euclidean norms of the rows of I - uM, each at most its 1-norm,
-    and row i of I - uM has 1-norm at most 1 + ||row_i(M)||_1.
+    of the Euclidean norms of the rows of I - uM, and entry (i, j) of
+    I - uM has modulus at most |m_ij| + [i = j].
     """
     m = _square(matrix)
-    need = 2 * prod(1 + sum(map(abs, row)) for row in m)
-    coeffs = [0] * (len(m) + 1)
-    modulus, index = 1, 0
-    while modulus <= need:
-        p = _prime(index)
-        index += 1
-        # CRT: keep coeffs mod modulus, match the residues mod p
-        lift = pow(modulus, -1, p)
-        coeffs = [
-            c + modulus * ((r - c) * lift % p)
-            for c, r in zip(coeffs, _charpoly_mod(m, p))
-        ]
-        modulus *= p
-    return IntPoly(c - modulus if 2 * c > modulus else c for c in reversed(coeffs))
+    need = 4 * prod(
+        sum((abs(x) + (i == j)) ** 2 for j, x in enumerate(row))
+        for i, row in enumerate(m)
+    )  # (2B)^2 < 2^(2b)
+    p = _proth_prime((need.bit_length() + 1) // 2)
+    return IntPoly(
+        c - p if 2 * c > p else c for c in reversed(_charpoly_mod(m, p))
+    )
 
 
 def _square(matrix):
@@ -134,33 +129,25 @@ def _charpoly_mod(m, p: int):
     return chars[n]
 
 
-def _prime(index: int) -> int:
-    """The index-th prime below 2^62, descending; found on first use."""
-    while len(_PRIMES) <= index:
-        candidate = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
-        while not _is_prime(candidate):
-            candidate -= 2
-        _PRIMES.append(candidate)
-    return _PRIMES[index]
+@cache
+def _proth_prime(bits: int) -> int:
+    """The least Proth prime above 2^bits (bits >= 2) that Proth's theorem
+    proves, found on first use. The Proth numbers k 2^m + 1 (k odd,
+    k < 2^m) in (2^bits, 2^(bits+1)] are the j 2^h + 1 below, h > bits/2.
+    """
+    h = bits // 2 + 1
+    for j in range(1 << (bits - h), 1 << (bits + 1 - h)):
+        if _proth_proves_prime((j << h) + 1):
+            return (j << h) + 1
+    return _proth_prime(bits + 1)
 
 
-_PRIMES: list[int] = []
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 37; these witnesses make it deterministic
-    below 3.1 * 10^23."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
+def _proth_proves_prime(n: int) -> bool:
+    """Proth's theorem: a Proth number n is prime iff a^((n-1)/2) = -1
+    (mod n) for some a. If every base gives +1, n stays unproven (False).
+    Base 2 is left out, a square modulo every prime n = 1 (mod 8)."""
+    for a in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        x = pow(a, n >> 1, n)
+        if x != 1:
+            return x == n - 1  # neither +1 nor -1: n is composite
+    return False

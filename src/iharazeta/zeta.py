@@ -12,7 +12,8 @@ computations of it live here:
                  one coefficient per packing size.
 
 The first two run in polynomial time through one exact det(I - uM)
-kernel; their independence lies in the matrices they pass it. The
+kernel (one pass modulo a Proth prime above twice the Euclidean Hadamard
+bound); their independence lies in the matrices they pass it. The
 enumeration engine shares no arithmetic with them; it is an exponential
 oracle capped by the number of directed edges. The exact agreement of all
 three on every small multigraph is the package's core acceptance test.
@@ -164,12 +165,7 @@ def zeta_bass(g: Multigraph) -> ZetaReport:
         [int(i == j) - 2 * a[i][j] + 4 * q[i][j] for j in range(n)]
         for i in range(n)
     ], "bass")
-    # (1 - u^2)^(r-1) from binomial coefficients
-    k, binom, factor = g.rank - 1, 1, []
-    for i in range(k + 1):
-        factor += (-binom if i & 1 else binom, 0)
-        binom = binom * (k - i) // (i + 1)
-    return _make_report(IntPoly(factor) * det, "bass", g)
+    return _make_report(IntPoly.one_minus_u2_pow(g.rank - 1) * det, "bass", g)
 
 
 # --- engine B: line-graph determinant ---
@@ -227,14 +223,9 @@ def _packing_coefficients(olg: OrientedLineDigraph):
     a cycle flips the sign; the signed totals per support size are the
     coefficients.
     """
-    c = _dp_bigint(olg.n, olg.arcs)
-    c[0] = 1
-    return c
-
-
-def _dp_bigint(n: int, arcs):
-    out_arcs = [[x for x in range(n) if arcs[w][x]] for w in range(n)]
-    c = [0] * (n + 1)
+    n, arcs = olg.n, olg.arcs
+    out_arcs = [olg.out_neighbors(w) for w in range(n)]
+    c = [1] + [0] * n
     layer: dict[int, dict[int, int]] = {}
     for a in range(n):
         layer[1 << a] = {a: 1}

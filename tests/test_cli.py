@@ -283,6 +283,28 @@ def test_more_vertices_than_edges_is_rejected(tmp_path, capsys):
     assert "4 vertices" in err and "3 edges" in err
 
 
+def test_bad_sweep_sizes_are_rejected_before_generation(
+        tmp_path, monkeypatch, capsys):
+    def no_sweep(max_edges):
+        raise AssertionError("sweep generated for a rejected size")
+
+    monkeypatch.setattr(cli, "connected_multigraphs", no_sweep)
+    path = write_graph(tmp_path, TRIANGLE)
+    for argv, message in (
+        (["verify", "--max-edges", "0"], "--max-edges: must be >= 1, got 0"),
+        (["verify", "--max-edges", "-3"], "--max-edges: must be >= 1, got -3"),
+        (["verify", "--max-edges", "3", "--enum-cap", "-1"],
+         "--enum-cap: must be >= 0, got -1"),
+        (["zeta", "--graph", path, "--enum-cap", "-2"],
+         "--enum-cap: must be >= 0, got -2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+
 def test_enum_cap_exit_code(tmp_path, capsys):
     k5 = "n 5\n" + "\n".join(
         f"{i} {j}" for i in range(5) for j in range(i + 1, 5)

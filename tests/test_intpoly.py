@@ -58,6 +58,14 @@ def test_pow():
         f ** -1
 
 
+def test_one_minus_u2_pow_matches_repeated_products():
+    base = IntPoly((1, 0, -1))
+    for k in range(13):
+        assert IntPoly.one_minus_u2_pow(k) == base ** k
+    with pytest.raises(ValueError):
+        IntPoly.one_minus_u2_pow(-1)
+
+
 def test_int_coercion():
     f = IntPoly((2, 3))
     assert f + 1 == IntPoly((3, 3))

@@ -188,20 +188,18 @@ def test_det_with_zero_pivot_polynomial():
     f = assert_matches_bareiss(m)
     # det(I - uM) = 1 - tr(M) u + (sum of principal 2 x 2 minors) u^2 - det(M) u^3
     assert f == IntPoly((1, -13, -9, 15))
-    # an entry that is nonzero over the integers but zero modulo the first
-    # prime: the pivot search must see the residue, not the integer
-    p = polydet._prime(0)
-    m = [[1, 2, 3], [p, 4, 5], [6, 7, 8]]
-    assert_matches_bareiss(m)
-    m = [[1, 2, 3], [p, 4, 5], [p, 7, 8]]  # whole column zero mod p
-    assert_matches_bareiss(m)
+    # entries nonzero over the integers but zero modulo the prime: the
+    # pivot search must see the residue, not the integer
+    for m in ([[1, 2, 3], [101, 4, 5], [6, 7, 8]],
+              [[1, 2, 3], [101, 4, 5], [-202, 7, 8]]):  # column zero mod 101
+        f = assert_matches_bareiss(m)
+        assert polydet._charpoly_mod(m, 101) == [
+            f.coeff(3 - k) % 101 for k in range(4)
+        ]
 
 
-def test_reversed_charpoly_needs_several_primes(monkeypatch):
-    rng = random.Random(17)
-    n = 4
-    m = [[rng.randint(-(2 ** 100), 2 ** 100) for _ in range(n)]
-         for _ in range(n)]
+def capture_primes(monkeypatch):
+    """Record the modulus of every _charpoly_mod call."""
     primes = []
     inner = polydet._charpoly_mod
 
@@ -210,38 +208,114 @@ def test_reversed_charpoly_needs_several_primes(monkeypatch):
         return inner(matrix, p)
 
     monkeypatch.setattr(polydet, "_charpoly_mod", counting)
+    return primes
+
+
+def test_reversed_charpoly_makes_one_modular_pass(monkeypatch):
+    rng = random.Random(17)
+    n = 4
+    m = [[rng.randint(-(2 ** 100), 2 ** 100) for _ in range(n)]
+         for _ in range(n)]
+    primes = capture_primes(monkeypatch)
     f = assert_matches_bareiss(m)
-    assert len(primes) >= 3
-    assert len(set(primes)) == len(primes)
-    assert all(p.bit_length() == 62 for p in primes)
+    assert len(primes) == 1
+    assert primes[0] > 2 * max(abs(c) for c in f.coeffs)
     assert max(abs(c) for c in f.coeffs).bit_length() > 300
 
 
-def test_coefficient_bound_holds():
-    # |c_k| <= prod_i (1 + ||row_i||_1), the bound the CRT stops at
-    def bound(m):
-        return prod(1 + sum(map(abs, row)) for row in m)
+def euclidean_bound_squared(m):
+    """B^2 = prod_i sum_j (|m_ij| + [i = j])^2: Hadamard on I - uM, |u| = 1."""
+    return prod(
+        sum((abs(x) + (i == j)) ** 2 for j, x in enumerate(row))
+        for i, row in enumerate(m)
+    )
+
+
+def sylvester_hadamard(order):
+    """The +-1 Hadamard matrix of a power-of-two order, [[H, H], [H, -H]]."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def test_coefficient_bound_holds(monkeypatch):
+    # c_k^2 <= B^2, and the kernel's prime satisfies 4B^2 < P^2 <= 64B^2
+    primes = capture_primes(monkeypatch)
+
+    def check(m):
+        b2 = euclidean_bound_squared(m)
+        f = reversed_charpoly(m)
+        assert all(c * c <= b2 for c in f.coeffs)
+        assert 4 * b2 < primes[-1] ** 2 <= 64 * b2
+        return f, b2
 
     rng = random.Random(18)
     for _ in range(100):
         n = rng.randint(1, 7)
-        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert all(abs(c) <= bound(m) for c in reversed_charpoly(m).coeffs)
+        check([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
     # -I: the coefficients are the binomials C(n, k), the bound is 2^n
     n = 6
-    m = [[-int(i == j) for j in range(n)] for i in range(n)]
-    assert reversed_charpoly(m) == IntPoly((1, 1)) ** n
-    assert bound(m) == 2 ** n
+    f, b2 = check([[-int(i == j) for j in range(n)] for i in range(n)])
+    assert f == IntPoly((1, 1)) ** n
+    assert b2 == 4 ** n
+    # a scaled Hadamard matrix makes Hadamard's inequality nearly tight:
+    # the top coefficient det(M) is within sqrt(2) of B
+    m = [[2 ** 64 * x for x in row] for row in sylvester_hadamard(8)]
+    f, b2 = check(m)
+    assert f.coeff(8) == 2 ** 512 * 8 ** 4
+    assert 2 * f.coeff(8) ** 2 > b2
+
+
+def test_kernel_matches_bareiss_at_scale():
+    # entries up to 2^64 and n <= 8, where a wrong bound would show as a
+    # wrapped coefficient; scaled Hadamard matrices sit at the bound
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def big_matrices(draw):
+        if draw(st.booleans()):
+            order = draw(st.sampled_from((1, 2, 4, 8)))
+            scale = draw(st.integers(1, 2 ** 64))
+            signs = draw(st.lists(st.sampled_from((-1, 1)),
+                                  min_size=order, max_size=order))
+            return [[scale * s * x for x in row]
+                    for s, row in zip(signs, sylvester_hadamard(order))]
+        n = draw(st.integers(1, 8))
+        entry = st.integers(-(2 ** 64), 2 ** 64)
+        row = st.lists(entry, min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=n, max_size=n))
+
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+    @hypothesis.given(big_matrices())
+    def check(m):
+        assert_matches_bareiss(m)
+
+    check()
+
+
+def is_proth(n):
+    """n = k 2^m + 1 with k odd and k < 2^m."""
+    m = ((n - 1) & -(n - 1)).bit_length() - 1
+    return (n - 1) >> m < 1 << m
 
 
 def test_prime_search():
-    sieve = [True] * 20000
-    for i in range(2, 142):
+    limit = 2 ** 17 + 2
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for i in range(2, 363):
         sieve[i * i::i] = [False] * len(sieve[i * i::i])
-    assert [n for n in range(39, 20000, 2) if polydet._is_prime(n)] == [
-        n for n in range(39, 20000, 2) if sieve[n]
-    ]
-    # strong pseudoprimes to the first several prime bases
-    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321):
-        assert not polydet._is_prime(n)
-    assert polydet._prime(0) == 2 ** 62 - 57  # the largest prime below 2^62
+    for bits in range(8, 17):
+        p = polydet._proth_prime(bits)
+        assert p > 2 ** bits and is_proth(p) and sieve[p]
+        # the least such prime: none is skipped as unproven here
+        assert not any(is_proth(n) and sieve[n]
+                       for n in range(2 ** bits + 1, p))
+    assert polydet._proth_prime(16) == 2 ** 16 + 1  # the Fermat prime F_4
+    # composite Proth numbers, 2^32 + 1 = 641 * 6700417 among them
+    for n, factor in ((57, 3), (209, 11), (2 ** 32 + 1, 641),
+                      (2 ** 64 + 1, 274177)):
+        assert is_proth(n) and n % factor == 0
+        assert not polydet._proth_proves_prime(n)
