@@ -142,6 +142,13 @@ def _cmd_family(args) -> int:
     spec = parse_family_spec(args.spec)
     form = closed_form(spec)
     numeric = isinstance(form, MobiusLadderProduct)
+    if args.format == "csv" and numeric:
+        raise UnsupportedFormError(
+            "the Moebius ladder closed form has no coefficient list; "
+            "use the zeta subcommand for coefficients"
+        )
+    # a mismatch raises (exit 1) before anything reaches stdout
+    check = verify_family(spec) if args.verify else None
     if args.format == "json":
         if numeric:
             body = {"type": "roots-of-unity-product", "order": form.n}
@@ -149,21 +156,13 @@ def _cmd_family(args) -> int:
             body = {"type": "polynomial", "coeffs": _coeff_strings(form)}
         obj = {"spec": str(spec), "closed_form": body}
         if args.verify:
-            verify_family(spec)  # raises on mismatch -> exit 1
             obj["verify"] = "match"
         _emit_json(obj)
         return 0
     if args.format == "csv":
-        if numeric:
-            raise UnsupportedFormError(
-                "the Moebius ladder closed form has no coefficient list; "
-                "use the zeta subcommand for coefficients"
-            )
         print("power,coeff")
         for k in range(form.degree + 1):
             print(f"{k},{form.coeff(k)}")
-        if args.verify:
-            verify_family(spec)
         return 0
     if numeric:
         print(f"{spec}: numeric product over roots of unity "
@@ -171,7 +170,6 @@ def _cmd_family(args) -> int:
     else:
         print(format_poly(form))
     if args.verify:
-        check = verify_family(spec)
         print(f"verify: MATCH ({check.detail})")
     return 0
 

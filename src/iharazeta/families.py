@@ -16,7 +16,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, ParameterError, UnsupportedFormError, VerificationError
+from .errors import InputError, ParameterError, VerificationError
 from .intpoly import IntPoly
 from .multigraph import Multigraph, build_multigraph
 from .zeta import ZetaReport, zeta_bass
@@ -338,20 +338,11 @@ class MobiusLadderProduct:
         return f"MobiusLadderProduct(n={self.n})"
 
 
-def closed_form(spec: FamilySpec, exact_only: bool = False):
-    """Closed-form zeta reciprocal: an IntPoly, or the Moebius evaluator.
-
-    With exact_only=True the Moebius ladder raises UnsupportedFormError
-    instead of returning its numeric product form.
-    """
+def closed_form(spec: FamilySpec):
+    """Closed-form zeta reciprocal: an IntPoly, or the Moebius evaluator."""
     check_domain(spec)
     tag, p = spec.tag, spec.params
     if tag == "MobiusLadder":
-        if exact_only:
-            raise UnsupportedFormError(
-                "the Moebius ladder closed form is a complex product; "
-                "use verify_family's numeric path or an engine"
-            )
         return MobiusLadderProduct(p[0])
     if tag == "NamedSmall":
         return NAMED_SMALL[p[0]][2]

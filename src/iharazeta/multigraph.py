@@ -186,7 +186,7 @@ def structural_report(g: Multigraph) -> StructuralReport:
     means no odd closed walk: any loop kills it, parallel edges do not.
     """
     return StructuralReport(
-        connected=_is_connected(g),
+        connected=table_is_connected(g.mult),
         min_degree=min(g.degrees()),
         rank=g.rank,
         girth=_girth(g),
@@ -196,7 +196,7 @@ def structural_report(g: Multigraph) -> StructuralReport:
 
 def validate_zeta_input(g: Multigraph) -> None:
     """Enforce the standing hypotheses: connected with min degree >= 2."""
-    if not _is_connected(g):
+    if not table_is_connected(g.mult):
         raise GraphValidationError("graph is not connected")
     mindeg = min(g.degrees())
     if mindeg < 2:
@@ -205,16 +205,21 @@ def validate_zeta_input(g: Multigraph) -> None:
         )
 
 
-def _is_connected(g: Multigraph) -> bool:
-    seen = {0}
+def table_is_connected(mult) -> bool:
+    """Whether a multiplicity table's support graph is connected."""
+    n = len(mult)
+    seen = [False] * n
+    seen[0] = True
     queue = deque([0])
+    count = 1
     while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == g.n
+        row = mult[queue.popleft()]
+        for w in range(n):
+            if not seen[w] and row[w]:
+                seen[w] = True
+                count += 1
+                queue.append(w)
+    return count == n
 
 
 def _girth(g: Multigraph) -> int | None:
@@ -292,7 +297,7 @@ def kirchhoff_tree_count(g: Multigraph) -> int:
     Loops are ignored (a tree cannot contain one); parallel edges count
     with multiplicity. Exact integer arithmetic throughout.
     """
-    if not _is_connected(g):
+    if not table_is_connected(g.mult):
         raise GraphValidationError("spanning trees need a connected graph")
     n = g.n
     if n == 1:

@@ -29,14 +29,13 @@ RANK_TWO_TAGS = ("DoubleCycle", "SharedPath", "Handcuff")
 class RankTwoSpec:
     """One of the three rank-two shapes with its parameters.
 
-    canonical means the parameters are in normal form: m <= n for
-    DoubleCycle and Handcuff; internal path lengths sorted so that
-    0 < 2p <= m <= n for SharedPath.
+    rank_two_spec, canonicalize and enumerate_rank2 return parameters in
+    normal form: m <= n for DoubleCycle and Handcuff; internal path lengths
+    sorted so that 0 < 2p <= m <= n for SharedPath.
     """
 
     shape: str
     params: tuple
-    canonical: bool
 
     def family(self) -> FamilySpec:
         return FamilySpec(self.shape, self.params)
@@ -57,7 +56,7 @@ class RankTwoSpec:
 def rank_two_spec(shape: str, *params) -> RankTwoSpec:
     if shape not in RANK_TWO_TAGS:
         raise ParameterError(f"{shape!r} is not a rank-two shape")
-    spec = RankTwoSpec(shape, tuple(params), False)
+    spec = RankTwoSpec(shape, tuple(params))
     check_domain(spec.family())
     return canonicalize(spec)
 
@@ -67,15 +66,15 @@ def canonicalize(spec: RankTwoSpec) -> RankTwoSpec:
     check_domain(spec.family())
     if spec.shape == "DoubleCycle":
         m, n = spec.params
-        return RankTwoSpec(spec.shape, (min(m, n), max(m, n)), True)
+        return RankTwoSpec(spec.shape, (min(m, n), max(m, n)))
     if spec.shape == "Handcuff":
         m, n, l = spec.params
-        return RankTwoSpec(spec.shape, (min(m, n), max(m, n), l), True)
+        return RankTwoSpec(spec.shape, (min(m, n), max(m, n), l))
     m, n, p = spec.params
     # The graph is three internally disjoint paths between the branch
     # vertices; only the multiset of their lengths matters.
     s1, s2, s3 = sorted((p, m - p, n - p))
-    return RankTwoSpec(spec.shape, (s1 + s2, s1 + s3, s1), True)
+    return RankTwoSpec(spec.shape, (s1 + s2, s1 + s3, s1))
 
 
 def enumerate_rank2(max_edges: int) -> list[RankTwoSpec]:
@@ -88,18 +87,16 @@ def enumerate_rank2(max_edges: int) -> list[RankTwoSpec]:
     specs = []
     for m in range(1, max_edges + 1):
         for n in range(m, max_edges - m + 1):
-            specs.append(RankTwoSpec("DoubleCycle", (m, n), True))
+            specs.append(RankTwoSpec("DoubleCycle", (m, n)))
     # SharedPath by internal path lengths p <= s2 <= s3, |E| = p+s2+s3
     for p in range(1, max_edges + 1):
         for s2 in range(p, max_edges + 1):
             for s3 in range(s2, max_edges - p - s2 + 1):
-                specs.append(
-                    RankTwoSpec("SharedPath", (p + s2, p + s3, p), True)
-                )
+                specs.append(RankTwoSpec("SharedPath", (p + s2, p + s3, p)))
     for l in range(1, max_edges + 1):
         for m in range(1, max_edges + 1):
             for n in range(m, max_edges - l - m + 1):
-                specs.append(RankTwoSpec("Handcuff", (m, n, l), True))
+                specs.append(RankTwoSpec("Handcuff", (m, n, l)))
     order = {shape: i for i, shape in enumerate(RANK_TWO_TAGS)}
     specs.sort(key=lambda s: (s.edge_count(), order[s.shape], s.params))
     return specs

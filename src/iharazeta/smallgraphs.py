@@ -13,9 +13,7 @@ the discrete colourings at the leaves of that search.
 
 from __future__ import annotations
 
-from collections import deque
-
-from .multigraph import Multigraph
+from .multigraph import Multigraph, table_is_connected
 
 
 def _ranks(labels):
@@ -102,23 +100,6 @@ def is_isomorphic(g: Multigraph, h: Multigraph) -> bool:
     return canonical_key(g) == canonical_key(h)
 
 
-def _connected(n, loops, mult) -> bool:
-    if n == 1:
-        return True
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in range(n):
-            if not seen[w] and mult[v][w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == n
-
-
 def _labeled_tables(n, max_edges, min_degree):
     """Yield connected labeled Multigraphs on n vertices within the budget.
 
@@ -145,7 +126,7 @@ def _labeled_tables(n, max_edges, min_degree):
         if w == n:
             if close_row(v, budget):
                 if v + 1 == n:
-                    if _connected(n, loops, mult):
+                    if table_is_connected(mult):
                         yield Multigraph(
                             n,
                             tuple(loops),

@@ -43,28 +43,20 @@ DEFAULT_ENUM_CAP = 16
 class OrientedLineDigraph:
     """Directed graph on the 2|E| directed edges of a multigraph.
 
-    Vertex i is a directed edge with origin[i], terminus[i], a parent
-    undirected edge id, and a flag for which of the two orientations it is;
-    inverse[i] is the opposite orientation of the same parent edge. There
-    is an arc i -> j exactly when j is not the inverse of i and
-    terminus(j) = origin(i); consecutive non-backtracking pairs, with arcs
-    recorded backward relative to walk order. The determinant downstream is
-    transpose-invariant, so the recording direction carries no content.
+    Directed edge i runs from origin[i] to terminus[i]. Edge e of
+    g.edge_list() yields i = 2e and i = 2e + 1, so i >> 1 is the parent
+    edge, i & 1 says which orientation i is, and i ^ 1 is its inverse.
+    out[i] lists, ascending, the j with an arc i -> j: j != i ^ 1 and
+    terminus[j] = origin[i]. These are the consecutive non-backtracking
+    pairs, with arcs recorded backward relative to walk order; the
+    determinant downstream is transpose-invariant, so the recording
+    direction carries no content.
     """
 
     n: int
     origin: tuple
     terminus: tuple
-    edge_id: tuple
-    is_reversed: tuple
-    inverse: tuple
-    arcs: tuple  # dense 0/1 rows
-
-    def out_neighbors(self, i: int):
-        return [j for j in range(self.n) if self.arcs[i][j]]
-
-    def arc_matrix(self):
-        return [list(row) for row in self.arcs]
+    out: tuple
 
 
 def oriented_line_graph(g: Multigraph) -> OrientedLineDigraph:
@@ -75,33 +67,21 @@ def oriented_line_graph(g: Multigraph) -> OrientedLineDigraph:
     inverses: a loop may be traversed repeatedly in the same rotational
     sense (self-arc) but cannot immediately reverse. Parallel edges give
     distinct vertices with edge-matched inverses, so leaving by one copy
-    and returning by another is not a backtrack.
+    and returning by another is not a backtrack. Grouping the directed
+    edges by terminus builds out in O(sum of squared degrees).
     """
     validate_zeta_input(g)
-    origin, terminus, edge_id, is_rev, inverse = [], [], [], [], []
-    for eid, (u, v) in enumerate(g.edge_list()):
-        origin.extend((u, v))
-        terminus.extend((v, u))
-        edge_id.extend((eid, eid))
-        is_rev.extend((False, True))
-        inverse.extend((2 * eid + 1, 2 * eid))
-    n = len(origin)
-    arcs = [
-        tuple(
-            1 if (inverse[i] != j and terminus[j] == origin[i]) else 0
-            for j in range(n)
-        )
-        for i in range(n)
-    ]
-    return OrientedLineDigraph(
-        n=n,
-        origin=tuple(origin),
-        terminus=tuple(terminus),
-        edge_id=tuple(edge_id),
-        is_reversed=tuple(is_rev),
-        inverse=tuple(inverse),
-        arcs=tuple(arcs),
+    origin, terminus = [], []
+    for u, v in g.edge_list():
+        origin += (u, v)
+        terminus += (v, u)
+    into = [[] for _ in range(g.n)]
+    for j, v in enumerate(terminus):
+        into[v].append(j)
+    out = tuple(
+        tuple(j for j in into[v] if j != i ^ 1) for i, v in enumerate(origin)
     )
+    return OrientedLineDigraph(len(origin), tuple(origin), tuple(terminus), out)
 
 
 # --- reports ---
@@ -173,10 +153,10 @@ def zeta_bass(g: Multigraph) -> ZetaReport:
 def zeta_line_det(g: Multigraph) -> ZetaReport:
     """det(I - uT) over the oriented line graph."""
     olg = oriented_line_graph(g)
-    t = olg.arc_matrix()
+    t = [[int(j in row) for j in range(olg.n)] for row in olg.out]
     det = _checked_kernel(t, [
-        [int(i == j) - 2 * t[i][j] for j in range(olg.n)]
-        for i in range(olg.n)
+        [int(i == j) - 2 * x for j, x in enumerate(row)]
+        for i, row in enumerate(t)
     ], "linedet")
     return _make_report(det, "linedet", g)
 
@@ -223,8 +203,7 @@ def _packing_coefficients(olg: OrientedLineDigraph):
     a cycle flips the sign; the signed totals per support size are the
     coefficients.
     """
-    n, arcs = olg.n, olg.arcs
-    out_arcs = [olg.out_neighbors(w) for w in range(n)]
+    n, out = olg.n, olg.out
     c = [1] + [0] * n
     layer: dict[int, dict[int, int]] = {}
     for a in range(n):
@@ -236,10 +215,10 @@ def _packing_coefficients(olg: OrientedLineDigraph):
             anchor = (mask & -mask).bit_length() - 1
             closed = 0
             for w, cnt in endpoints.items():
-                if arcs[w][anchor]:
-                    closed -= cnt
-                for x in out_arcs[w]:
-                    if x > anchor and not (mask >> x) & 1:
+                for x in out[w]:
+                    if x == anchor:
+                        closed -= cnt
+                    elif x > anchor and not (mask >> x) & 1:
                         dest = nxt.setdefault(mask | (1 << x), {})
                         dest[x] = dest.get(x, 0) + cnt
             if closed:
@@ -258,18 +237,17 @@ def enumerate_directed_cycles(olg: OrientedLineDigraph):
     """All simple directed cycles as (vertex mask, length), anchored at
     their smallest vertex. Exponential in general; meant for the sparse
     line graphs of the contribution-table checks."""
-    n = olg.n
-    out_arcs = [olg.out_neighbors(w) for w in range(n)]
+    out = olg.out
     cycles = []
 
     def walk(anchor, w, mask, length):
-        for x in out_arcs[w]:
+        for x in out[w]:
             if x == anchor:
                 cycles.append((mask, length))
             elif x > anchor and not (mask >> x) & 1:
                 walk(anchor, x, mask | (1 << x), length + 1)
 
-    for a in range(n):
+    for a in range(olg.n):
         walk(a, a, 1 << a, 1)
     return cycles
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from iharazeta import cli
+from iharazeta import cli, families
 from iharazeta.cli import run
 from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import parse_edge_list_text
@@ -119,6 +119,22 @@ def test_family_csv(capsys):
     assert run(["family", "--spec", "C(2)", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["power,coeff", "0,1", "1,0", "2,-2", "3,0", "4,1"]
+
+
+def test_family_verify_failure_prints_no_closed_form(monkeypatch, capsys):
+    real = families.closed_form
+
+    def wrong(spec):
+        return real(spec) + IntPoly.monomial(2)
+
+    monkeypatch.setattr(families, "closed_form", wrong)
+    monkeypatch.setattr(cli, "closed_form", wrong)
+    for fmt in ("human", "csv", "json"):
+        argv = ["family", "--spec", "C(4)", "--verify", "--format", fmt]
+        assert run(argv) == 1, fmt
+        captured = capsys.readouterr()
+        assert captured.out == "", fmt
+        assert "closed form disagrees with engine at u^2" in captured.err
 
 
 # --- trees ---

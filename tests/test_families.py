@@ -10,7 +10,6 @@ from iharazeta import families
 from iharazeta.errors import (
     InputError,
     ParameterError,
-    UnsupportedFormError,
     VerificationError,
 )
 from iharazeta.families import (
@@ -169,8 +168,6 @@ def test_moebius_ladder_numeric_form():
     check = verify_family(parse_family_spec("M(6)"))
     assert check.matched
     assert check.detail.startswith("numeric match")
-    with pytest.raises(UnsupportedFormError):
-        closed_form(parse_family_spec("M(6)"), exact_only=True)
 
 
 def test_moebius_product_object():

@@ -14,6 +14,7 @@ from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import build_multigraph
 from iharazeta import zeta
 from iharazeta.polydet import reversed_charpoly
+from iharazeta.smallgraphs import connected_multigraphs
 from iharazeta.zeta import (
     ZetaReport,
     census_coefficient,
@@ -52,30 +53,36 @@ TRIPLE_EDGE = build_multigraph([(0, 1), (0, 1), (0, 1)], 2)
 
 # --- oriented line graph ---
 
+def _in_degree(olg, i):
+    return sum(i in row for row in olg.out)
+
+
 def test_line_graph_size_and_inverse_involution():
     for g in (cycle(3), TRIPLE_EDGE, two_cycles_joined(1, 3), complete(4)):
         olg = oriented_line_graph(g)
         assert olg.n == 2 * g.edge_count
+        assert len(olg.out) == olg.n
+        edges = g.edge_list()
         for i in range(olg.n):
-            j = olg.inverse[i]
+            j = i ^ 1
             assert j != i
-            assert olg.inverse[j] == i
-            assert olg.edge_id[j] == olg.edge_id[i]
-            assert olg.is_reversed[j] != olg.is_reversed[i]
+            assert j ^ 1 == i
+            # parent edge i >> 1, orientation i & 1, inverse i ^ 1
+            assert (olg.origin[i], olg.terminus[i]) == (
+                edges[i >> 1] if i & 1 == 0 else edges[i >> 1][::-1]
+            )
             assert olg.origin[j] == olg.terminus[i]
             assert olg.terminus[j] == olg.origin[i]
             # no backtracking in either recording direction
-            assert olg.arcs[i][j] == 0 and olg.arcs[j][i] == 0
+            assert j not in olg.out[i] and i not in olg.out[j]
 
 
 def test_line_graph_degrees_follow_endpoint_degrees():
     for g in (cycle(4), TRIPLE_EDGE, two_cycles_joined(3, 4), complete(4)):
         olg = oriented_line_graph(g)
         for i in range(olg.n):
-            out = sum(olg.arcs[i])
-            into = sum(olg.arcs[j][i] for j in range(olg.n))
-            assert out == g.degree(olg.origin[i]) - 1
-            assert into == g.degree(olg.terminus[i]) - 1
+            assert len(olg.out[i]) == g.degree(olg.origin[i]) - 1
+            assert _in_degree(olg, i) == g.degree(olg.terminus[i]) - 1
 
 
 def test_line_graph_degree_signature_of_joined_cycles():
@@ -84,16 +91,27 @@ def test_line_graph_degree_signature_of_joined_cycles():
     assert olg.n == 14
     sig = {}
     for i in range(olg.n):
-        out = sum(olg.arcs[i])
-        into = sum(olg.arcs[j][i] for j in range(olg.n))
-        sig[(out, into)] = sig.get((out, into), 0) + 1
+        key = (len(olg.out[i]), _in_degree(olg, i))
+        sig[key] = sig.get(key, 0) + 1
     assert sig == {(3, 1): 4, (1, 3): 4, (1, 1): 6}
+
+
+def test_line_graph_out_lists_match_the_definition():
+    # out[i] = {j : j != i ^ 1, terminus[j] = origin[i]}, ascending, on
+    # every class of the 6-edge sweep (loops and parallel edges included)
+    for g in connected_multigraphs(6):
+        olg = oriented_line_graph(g)
+        for i in range(olg.n):
+            assert olg.out[i] == tuple(
+                j for j in range(olg.n)
+                if j != i ^ 1 and olg.terminus[j] == olg.origin[i]
+            )
 
 
 def test_loop_gives_two_self_arcs():
     olg = oriented_line_graph(build_multigraph([(0, 0)], 1))
     assert olg.n == 2
-    assert olg.arcs == ((1, 0), (0, 1))
+    assert olg.out == ((0,), (1,))
 
 
 def test_bigon_line_graph_cycles():
@@ -108,7 +126,8 @@ def test_bigon_line_graph_cycles():
 def test_arc_matrix_transpose_gives_same_determinant():
     g = two_cycles_joined(3, 4)
     olg = oriented_line_graph(g)
-    transpose = [list(col) for col in zip(*olg.arcs)]
+    transpose = [[int(i in olg.out[j]) for j in range(olg.n)]
+                 for i in range(olg.n)]
     assert reversed_charpoly(transpose) == zeta_line_det(g).poly
 
 
