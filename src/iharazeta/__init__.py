@@ -14,14 +14,12 @@ from .errors import (
     InputError,
     ParameterError,
     SizeCapError,
-    UnsupportedFormError,
     VerificationError,
     ZetaError,
 )
 from .families import (
     FAMILY_TAGS,
     FamilySpec,
-    MobiusLadderProduct,
     NAMED_SMALL,
     check_domain,
     closed_form,
@@ -80,12 +78,10 @@ __all__ = [
     "InputError",
     "ParameterError",
     "SizeCapError",
-    "UnsupportedFormError",
     "VerificationError",
     "ZetaError",
     "FAMILY_TAGS",
     "FamilySpec",
-    "MobiusLadderProduct",
     "NAMED_SMALL",
     "check_domain",
     "closed_form",

@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import signal
 import sys
 
 from .errors import (
@@ -24,11 +25,9 @@ from .errors import (
     InputError,
     ParameterError,
     SizeCapError,
-    UnsupportedFormError,
     VerificationError,
 )
 from .families import (
-    MobiusLadderProduct,
     closed_form,
     gen_family,
     parse_family_spec,
@@ -141,19 +140,10 @@ def _cmd_zeta(args) -> int:
 def _cmd_family(args) -> int:
     spec = parse_family_spec(args.spec)
     form = closed_form(spec)
-    numeric = isinstance(form, MobiusLadderProduct)
-    if args.format == "csv" and numeric:
-        raise UnsupportedFormError(
-            "the Moebius ladder closed form has no coefficient list; "
-            "use the zeta subcommand for coefficients"
-        )
     # a mismatch raises (exit 1) before anything reaches stdout
     check = verify_family(spec) if args.verify else None
     if args.format == "json":
-        if numeric:
-            body = {"type": "roots-of-unity-product", "order": form.n}
-        else:
-            body = {"type": "polynomial", "coeffs": _coeff_strings(form)}
+        body = {"type": "polynomial", "coeffs": _coeff_strings(form)}
         obj = {"spec": str(spec), "closed_form": body}
         if args.verify:
             obj["verify"] = "match"
@@ -164,11 +154,7 @@ def _cmd_family(args) -> int:
         for k in range(form.degree + 1):
             print(f"{k},{form.coeff(k)}")
         return 0
-    if numeric:
-        print(f"{spec}: numeric product over roots of unity "
-              "(no exact polynomial; engines provide coefficients)")
-    else:
-        print(format_poly(form))
+    print(format_poly(form))
     if args.verify:
         print(f"verify: MATCH ({check.detail})")
     return 0
@@ -363,7 +349,7 @@ def run(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, GraphValidationError, UnsupportedFormError) as exc:
+    except (InputError, GraphValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (VerificationError, ConsistencyError) as exc:
@@ -372,6 +358,11 @@ def run(argv=None) -> int:
 
 
 def main():
+    # A reader that stops early (`| head`) ends the process quietly, as
+    # for any Unix filter, instead of a BrokenPipeError read as exit 1.
+    # Only the console entry point does this; run() leaves signals alone.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -22,10 +22,6 @@ class GraphValidationError(ZetaError):
     """Graph violates the standing hypotheses (connected, min degree >= 2)."""
 
 
-class UnsupportedFormError(ZetaError):
-    """A closed form was requested in a shape it does not exist in."""
-
-
 class DegenerateRankError(ZetaError):
     """Rank too small for the zeta-derivative tree count; use Kirchhoff."""
 

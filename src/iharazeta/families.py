@@ -4,17 +4,11 @@ Every family carries two independent artifacts: a concrete Multigraph
 builder and a closed-form polynomial built by direct IntPoly arithmetic
 (never by calling the engines). verify_family pits the two against each
 other, which is the package's main formula-level test surface.
-
-The Moebius ladder is the one exception: its closed form is a product over
-complex roots of unity, kept as a numeric evaluator rather than an exact
-polynomial, and verified by sampling.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError, ParameterError, VerificationError
 from .intpoly import IntPoly
@@ -307,43 +301,10 @@ def gen_family(spec: FamilySpec) -> Multigraph:
 
 # --- closed forms ---
 
-class MobiusLadderProduct:
-    """Numeric closed form for the Moebius ladder: a complex product.
-
-    No exact polynomial is offered for this family; callers wanting
-    coefficients should run an engine. eval_at returns a complex value
-    whose imaginary part is numerically zero for real input.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def eval_at(self, u) -> complex:
-        n = self.n
-        z = complex(u)
-        w = cmath.exp(2j * cmath.pi / n)
-        acc = complex(1.0)
-        for k in range(n):
-            acc *= (
-                -(1 + 2 * z * z) / z
-                + w ** k
-                + w ** (k * n // 2)
-                + w ** (k * (n - 1))
-            )
-        return (1 - z * z) ** (n // 2) * z ** n * acc
-
-    __call__ = eval_at
-
-    def __repr__(self):
-        return f"MobiusLadderProduct(n={self.n})"
-
-
-def closed_form(spec: FamilySpec):
-    """Closed-form zeta reciprocal: an IntPoly, or the Moebius evaluator."""
+def closed_form(spec: FamilySpec) -> IntPoly:
+    """Closed-form zeta reciprocal as an exact IntPoly."""
     check_domain(spec)
     tag, p = spec.tag, spec.params
-    if tag == "MobiusLadder":
-        return MobiusLadderProduct(p[0])
     if tag == "NamedSmall":
         return NAMED_SMALL[p[0]][2]
     if tag == "Cycle":
@@ -388,6 +349,23 @@ def closed_form(spec: FamilySpec):
             * (sq - IntPoly((0, 0, 1))) ** (h - 1)
             * (sq - IntPoly((0, 0, (1 - h) ** 2)))
         )
+    if tag == "MobiusLadder":
+        # Cubic and circulant on n = 2m vertices, so Q = 2I and r - 1 = m.
+        # Splitting the adjacency eigenvalues 2cos(2 pi k/n) + (-1)^k by
+        # the parity of k gives two Dickson products:
+        # (1 - u^2)^m (E_m(c-) - 2u^m)(E_m(c+) + 2u^m), c-+ = 1 -+ u + 2u^2,
+        # with E_0 = 2, E_1 = c and E_k = c E_(k-1) - u^2 E_(k-2).
+        m = p[0] // 2
+        u2 = IntPoly((0, 0, 1))
+        e = []
+        for c in (IntPoly((1, -1, 2)), IntPoly((1, 1, 2))):
+            prev, cur = IntPoly((2,)), c
+            for _ in range(m - 1):
+                prev, cur = cur, c * cur - u2 * prev
+            e.append(cur)
+        two_um = IntPoly.monomial(m, 2)
+        return (IntPoly.one_minus_u2_pow(m)
+                * (e[0] - two_um) * (e[1] + two_um))
     if tag == "DoubleCycle":
         m, n = p
         return IntPoly.from_terms([
@@ -540,10 +518,6 @@ NAMED_SMALL.update({
 
 # --- cross verification ---
 
-MOBIUS_SAMPLE_COUNT = 8
-MOBIUS_REL_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class FamilyCheck:
     spec: FamilySpec
@@ -555,29 +529,12 @@ class FamilyCheck:
 def verify_family(spec: FamilySpec) -> FamilyCheck:
     """Compare closed_form against the determinant engine.
 
-    Exact coefficient equality for every family except the Moebius
-    ladder, which is sampled at MOBIUS_SAMPLE_COUNT rational points in
-    (0, 1/3] with relative tolerance MOBIUS_REL_TOL. A mismatch raises
-    VerificationError carrying the first differing coefficient (or the
-    worst sample residual).
+    Exact coefficient equality for every family. A mismatch raises
+    VerificationError carrying the first differing coefficient.
     """
     g = gen_family(spec)
     engine = zeta_bass(g)
     form = closed_form(spec)
-    if isinstance(form, MobiusLadderProduct):
-        worst = 0.0
-        for k in range(1, MOBIUS_SAMPLE_COUNT + 1):
-            u = Fraction(k, 3 * MOBIUS_SAMPLE_COUNT)
-            approx = form.eval_at(float(u))
-            exact = float(engine.poly.eval_at(u))
-            rel = abs(approx - exact) / max(abs(exact), 1e-300)
-            worst = max(worst, rel)
-        if worst >= MOBIUS_REL_TOL:
-            raise VerificationError(
-                f"{spec}: numeric closed form off by relative {worst:.3e}"
-            )
-        return FamilyCheck(spec, engine, True,
-                           f"numeric match, worst residual {worst:.3e}")
     if form != engine.poly:
         top = max(form.degree, engine.poly.degree)
         for k in range(top + 1):

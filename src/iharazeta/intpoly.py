@@ -167,7 +167,7 @@ class IntPoly:
         return IntPoly(out)
 
     def eval_at(self, x):
-        """Exact Horner evaluation; x may be int, Fraction, float or complex."""
+        """Horner evaluation in x's arithmetic: exact for int or rational x."""
         acc = 0 * x  # keep the result in x's arithmetic type
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -62,11 +62,22 @@ def _kappa_matching_deleted(order):
     return n ** (n - 2) * (n - 2) ** (n - 1) * (n - 1)
 
 
+def _kappa_mobius_ladder(n):
+    # (m/2)(L_m + 2) with m = n/2, L_0 = 2, L_1 = 4, L_k = 4L_(k-1) - L_(k-2);
+    # every L_k is even, so the halving is exact
+    m = n // 2
+    prev, cur = 2, 4
+    for _ in range(m - 1):
+        prev, cur = cur, 4 * cur - prev
+    return m * ((cur + 2) // 2)
+
+
 _CLOSED_FORMS = {
     "Complete": lambda n: n ** (n - 2),
     "CompleteBipartite": lambda m, n: m ** (n - 1) * n ** (m - 1),
     "CocktailParty": _kappa_cocktail_party,
     "MatchingDeleted": _kappa_matching_deleted,
+    "MobiusLadder": _kappa_mobius_ladder,
     "DoubleCycle": lambda m, n: m * n,
     "SharedPath": lambda m, n, p: m * n - p * p,
     "Handcuff": lambda m, n, l: m * n,

@@ -15,7 +15,7 @@ ACCEPTANCE_CRITERIA = {
     1: "three engines agree on every multigraph with at most 7 edges",
     2: "printed fixture polynomials reproduced coefficient for coefficient",
     3: "family closed forms equal engine output on the full grids",
-    4: "Moebius ladder numeric form within 1e-9; M(4) equals K(4) exactly",
+    4: "Moebius ladder closed form exact for n = 4..30; M(4) equals K(4)",
     5: "polynomial is even exactly for bipartite graphs, sweep-wide",
     6: "leading coefficient and girth readout identities, sweep-wide",
     7: "rank-two polynomials distinct to 12 edges; exhaustive to 6 edges",

@@ -8,8 +8,6 @@ summary hook in conftest.py condenses the outcome into one PASS/FAIL
 line per criterion.
 """
 
-from fractions import Fraction
-
 from iharazeta.families import closed_form, family_spec, gen_family
 from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import (
@@ -280,23 +278,15 @@ def test_criterion_3_closed_form_grids_exact():
         _assert_family_exact(family_spec("MatchingDeleted", order))
 
 
-# --- criterion 4: numeric closed form for the Moebius ladder ---
+# --- criterion 4: exact closed form for the Moebius ladder ---
 
 
-def test_criterion_4_mobius_ladder_numeric():
-    for n in (4, 6, 8, 10):
-        spec = family_spec("MobiusLadder", n)
-        poly = zeta_bass(gen_family(spec)).poly
-        product = closed_form(spec)
-        for k in range(1, 9):
-            u = Fraction(k, 24)  # eight points in (0, 1/3]
-            exact = poly.eval_at(u)
-            assert exact != 0
-            rel = abs(product.eval_at(u) - float(exact)) / abs(float(exact))
-            assert rel < 1e-9, (n, u, rel)
+def test_criterion_4_mobius_ladder_exact():
+    for n in range(4, 31, 2):
+        _assert_family_exact(family_spec("MobiusLadder", n))
     # the 4-rung ladder is the complete graph on four vertices
-    m4 = zeta_bass(gen_family(family_spec("MobiusLadder", 4))).poly
-    assert m4 == closed_form(family_spec("Complete", 4))
+    assert closed_form(family_spec("MobiusLadder", 4)) \
+        == closed_form(family_spec("Complete", 4))
 
 
 # --- criterion 5: even polynomial exactly for bipartite graphs ---
@@ -374,6 +364,11 @@ def test_criterion_8_tree_count_agreement(sweep7, sweep7_bass):
         spec = family_spec("MatchingDeleted", 2 * n)
         assert tree_count_closed_form(spec).kappa \
             == n ** (n - 2) * (n - 2) ** (n - 1) * (n - 1)
+    assert tree_count_closed_form(family_spec("MobiusLadder", 4)).kappa == 16
+    for n in range(4, 31, 2):
+        spec = family_spec("MobiusLadder", n)
+        assert tree_count_closed_form(spec).kappa \
+            == kirchhoff_tree_count(gen_family(spec)), n
 
     # rank-two grid: m*n for joined cycles, m*n - p^2 with a shared path
     for spec in enumerate_rank2(10):

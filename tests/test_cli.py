@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import iharazeta
 from iharazeta import cli, families
 from iharazeta.cli import run
-from iharazeta.intpoly import IntPoly
-from iharazeta.multigraph import parse_edge_list_text
+from iharazeta.families import gen_family, parse_family_spec
+from iharazeta.intpoly import IntPoly, format_poly
+from iharazeta.multigraph import format_edge_list, parse_edge_list_text
 from iharazeta.smallgraphs import connected_multigraphs
 
 TRIANGLE = "n 3\n0 1\n1 2\n2 0\n"
@@ -105,14 +111,21 @@ def test_family_json(capsys):
     assert obj["verify"] == "match"
 
 
-def test_family_moebius_paths(capsys):
-    assert run(["family", "--spec", "M(8)"]) == 0
-    assert "numeric product" in capsys.readouterr().out
-    assert run(["family", "--spec", "M(6)", "--format", "json"]) == 0
+def test_family_moebius_paths(tmp_path, capsys):
+    path = write_graph(tmp_path, format_edge_list(
+        gen_family(parse_family_spec("M(8)"))))
+    assert run(["zeta", "--graph", path, "--engine", "bass",
+                "--format", "json"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["coeffs"]
+    assert run(["family", "--spec", "M(8)", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert obj["closed_form"] == {"type": "roots-of-unity-product", "order": 6}
-    assert run(["family", "--spec", "M(8)", "--format", "csv"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert obj["closed_form"] == {"type": "polynomial", "coeffs": coeffs}
+    assert run(["family", "--spec", "M(8)", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows == ["power,coeff"] + [f"{k},{c}" for k, c in enumerate(coeffs)]
+    assert run(["family", "--spec", "M(8)"]) == 0
+    human = capsys.readouterr().out
+    assert human == format_poly(IntPoly([int(c) for c in coeffs])) + "\n"
 
 
 def test_family_csv(capsys):
@@ -338,3 +351,22 @@ def test_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_closed_stdout_exits_quietly():
+    # 347 kB of json, more than a pipe buffer holds, so the writer is still
+    # writing when the reader closes its end after one line
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(iharazeta.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "iharazeta.cli", "family", "--spec", "K(40)",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    status = proc.wait(timeout=60)
+    proc.stderr.close()
+    assert err == b""
+    assert status != 1

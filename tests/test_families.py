@@ -16,7 +16,6 @@ from iharazeta.families import (
     FAMILY_TAGS,
     NAMED_SMALL,
     FamilySpec,
-    MobiusLadderProduct,
     check_domain,
     closed_form,
     family_spec,
@@ -143,6 +142,7 @@ SPOT_SPECS = [
     "Kb(2,3)", "Kb(3,3)",
     "O(6)", "O(8)",
     "B(6)", "B(8)",
+    "M(4)", "M(6)", "M(10)",
     "G(1,1)", "G(1,2)", "G(2,2)", "G(3,4)",
     "Gp(2,2,1)", "Gp(3,4,1)", "Gp(4,4,2)", "Gp(5,5,2)",
     "H(1,1,1)", "H(2,2,1)", "H(3,4,2)",
@@ -154,7 +154,6 @@ SPOT_SPECS = [
 
 def test_every_tag_is_spot_checked():
     covered = {parse_family_spec(t).tag for t in SPOT_SPECS}
-    covered.add("MobiusLadder")  # numeric path, tested separately
     assert covered == set(FAMILY_TAGS)
 
 
@@ -167,14 +166,7 @@ def test_closed_forms_match_engine():
 def test_moebius_ladder_numeric_form():
     check = verify_family(parse_family_spec("M(6)"))
     assert check.matched
-    assert check.detail.startswith("numeric match")
-
-
-def test_moebius_product_object():
-    form = closed_form(parse_family_spec("M(6)"))
-    assert isinstance(form, MobiusLadderProduct)
-    exact = zeta_bass(gen_family(parse_family_spec("M(6)"))).poly.eval_at(0.125)
-    assert abs(form(0.125) - exact) <= 1e-9 * abs(exact)
+    assert check.detail == "exact match"
 
 
 def test_moebius_ladder_on_four_vertices_is_complete():
@@ -243,9 +235,3 @@ def test_verify_family_names_first_mismatching_power(monkeypatch):
     monkeypatch.setitem(families.NAMED_SMALL, "triple-edge", (n, edges, bad))
     with pytest.raises(VerificationError, match=r"u\^2"):
         verify_family(family_spec("NamedSmall", "triple-edge"))
-
-
-def test_verify_family_numeric_tolerance_is_live(monkeypatch):
-    monkeypatch.setattr(families, "MOBIUS_REL_TOL", 0.0)
-    with pytest.raises(VerificationError, match="numeric"):
-        verify_family(parse_family_spec("M(6)"))

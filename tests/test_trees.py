@@ -84,6 +84,8 @@ def test_closed_form_values():
         (("CompleteBipartite", 2, 3), 12),
         (("CocktailParty", 6), 384),
         (("MatchingDeleted", 8), 384),
+        (("MobiusLadder", 4), 16),     # K(4)
+        (("MobiusLadder", 6), 81),     # Kb(3,3)
         (("DoubleCycle", 3, 4), 12),
         (("SharedPath", 4, 4, 2), 12),
         (("Handcuff", 3, 4, 2), 12),
@@ -124,7 +126,6 @@ def test_closed_form_unsupported_families():
     for spec in (
         family_spec("Cycle", 5),
         family_spec("Bouquet", 3),
-        family_spec("MobiusLadder", 6),
         family_spec("NamedSmall", "triple-edge"),
     ):
         with pytest.raises(ParameterError, match="no closed-form"):
