@@ -140,8 +140,8 @@ def _cmd_zeta(args) -> int:
 def _cmd_family(args) -> int:
     spec = parse_family_spec(args.spec)
     form = closed_form(spec)
-    # a mismatch raises (exit 1) before anything reaches stdout
-    check = verify_family(spec) if args.verify else None
+    if args.verify:
+        verify_family(spec)  # a mismatch raises (exit 1) before any output
     if args.format == "json":
         body = {"type": "polynomial", "coeffs": _coeff_strings(form)}
         obj = {"spec": str(spec), "closed_form": body}
@@ -156,7 +156,7 @@ def _cmd_family(args) -> int:
         return 0
     print(format_poly(form))
     if args.verify:
-        print(f"verify: MATCH ({check.detail})")
+        print("verify: MATCH (exact match)")
     return 0
 
 

@@ -522,8 +522,6 @@ NAMED_SMALL.update({
 class FamilyCheck:
     spec: FamilySpec
     engine: ZetaReport
-    matched: bool
-    detail: str
 
 
 def verify_family(spec: FamilySpec) -> FamilyCheck:
@@ -544,4 +542,4 @@ def verify_family(spec: FamilySpec) -> FamilyCheck:
                     f"u^{k}: {form.coeff(k)} != {engine.poly.coeff(k)}"
                 )
         raise VerificationError(f"{spec}: closed form disagrees with engine")
-    return FamilyCheck(spec, engine, True, "exact match")
+    return FamilyCheck(spec, engine)

@@ -16,7 +16,7 @@ from iharazeta.multigraph import (
     structural_report,
 )
 from iharazeta.ranktwo import completeness_check, enumerate_rank2
-from iharazeta.smallgraphs import canonical_key
+from iharazeta.smallgraphs import _table_classes, canonical_key
 from iharazeta.trees import tree_count_closed_form, tree_count_from_zeta
 from iharazeta.zeta import (
     census_coefficient,
@@ -326,13 +326,17 @@ def test_criterion_7_rank_two_distinct_and_exhaustive(sweep7):
     polys = [row.poly for row in report.rows]
     assert len(set(polys)) == len(polys)
 
-    # certify the catalogue against brute-force generation at <= 6 edges
+    # certify the catalogue against brute-force generation at <= 6 edges:
+    # the sweep builds rank two from the same three kernels that
+    # enumerate_rank2 walks, so the table recursion is the independent check
     specs6 = enumerate_rank2(6)
     catalogued = {canonical_key(gen_family(s.family())) for s in specs6}
     assert len(catalogued) == len(specs6)
     swept = {canonical_key(g) for g in sweep7
              if g.edge_count <= 6 and g.rank == 2}
     assert catalogued == swept
+    tabled = {canonical_key(g) for g in _table_classes(6, 2) if g.rank == 2}
+    assert catalogued == tabled
 
 
 # --- criterion 8: spanning-tree counts ---

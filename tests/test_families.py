@@ -159,14 +159,12 @@ def test_every_tag_is_spot_checked():
 
 def test_closed_forms_match_engine():
     for text in SPOT_SPECS:
-        check = verify_family(parse_family_spec(text))
-        assert check.matched and check.detail == "exact match", text
+        verify_family(parse_family_spec(text))  # raises on a mismatch
 
 
 def test_moebius_ladder_numeric_form():
-    check = verify_family(parse_family_spec("M(6)"))
-    assert check.matched
-    assert check.detail == "exact match"
+    check = verify_family(parse_family_spec("M(6)"))  # raises on mismatch
+    assert check.engine.poly == closed_form(parse_family_spec("M(6)"))
 
 
 def test_moebius_ladder_on_four_vertices_is_complete():

@@ -11,6 +11,7 @@ import pytest
 from iharazeta.families import gen_family, parse_family_spec
 from iharazeta.multigraph import build_multigraph, structural_report
 from iharazeta.smallgraphs import (
+    _table_classes,
     canonical_key,
     connected_multigraphs,
     is_isomorphic,
@@ -30,6 +31,20 @@ def test_class_counts_small():
     assert len(connected_multigraphs(3)) == 8
     assert len(connected_multigraphs(4)) == 20
     assert len(connected_multigraphs(5)) == 53
+
+
+def test_class_counts_beyond_the_sweep():
+    assert len(connected_multigraphs(8)) == 1672
+    assert len(connected_multigraphs(9)) == 6114
+
+
+def test_kernel_generator_matches_the_table_recursion():
+    # brute force over min-degree-2 tables is the independent oracle: the
+    # same classes, in the same (edge count, canonical key) order
+    for max_edges in range(1, 7):
+        oracle = [canonical_key(g) for g in _table_classes(max_edges, 2)]
+        assert [canonical_key(g)
+                for g in connected_multigraphs(max_edges)] == oracle
 
 
 def test_class_counts_from_sweep(sweep7):
@@ -110,12 +125,11 @@ def test_sweep_classes_are_pairwise_non_isomorphic_by_networkx(sweep7):
     nx = pytest.importorskip("networkx")
     buckets = defaultdict(list)
     for g in sweep7:
-        if g.edge_count <= 6:
-            h = nx.MultiGraph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edge_list())
-            buckets[(g.n, g.edge_count, tuple(sorted(g.degrees())))].append(h)
-    assert sum(len(b) for b in buckets.values()) == 156
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edge_list())
+        buckets[(g.n, g.edge_count, tuple(sorted(g.degrees())))].append(h)
+    assert sum(len(b) for b in buckets.values()) == 489
     for bucket in buckets.values():
         for a, b in combinations(bucket, 2):
             assert not nx.is_isomorphic(a, b)
@@ -144,7 +158,7 @@ def test_is_isomorphic_quick_rejects():
 
 def test_min_degree_one_widens_the_sweep():
     keys2 = {canonical_key(g) for g in connected_multigraphs(3)}
-    all1 = connected_multigraphs(3, min_degree=1)
+    all1 = _table_classes(3, 1)
     keys1 = {canonical_key(g) for g in all1}
     assert keys2 < keys1
     for g in all1:
