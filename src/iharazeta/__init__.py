@@ -42,23 +42,16 @@ from .multigraph import (
 )
 from .polydet import bareiss_int_det, reversed_charpoly
 from .ranktwo import (
-    RankTwoSpec,
     canonicalize,
     completeness_check,
     enumerate_rank2,
     rank_two_spec,
 )
 from .smallgraphs import canonical_key, connected_multigraphs, is_isomorphic
-from .trees import (
-    TreeCountResult,
-    tree_count_closed_form,
-    tree_count_from_zeta,
-    tree_count_kirchhoff,
-)
+from .trees import tree_count_closed_form, tree_count_from_zeta
 from .zeta import (
     DEFAULT_ENUM_CAP,
     OrientedLineDigraph,
-    ZetaReport,
     census_coefficient,
     enumerate_directed_cycles,
     linear_subgraph_census,
@@ -102,7 +95,6 @@ __all__ = [
     "validate_zeta_input",
     "bareiss_int_det",
     "reversed_charpoly",
-    "RankTwoSpec",
     "canonicalize",
     "completeness_check",
     "enumerate_rank2",
@@ -110,13 +102,10 @@ __all__ = [
     "canonical_key",
     "connected_multigraphs",
     "is_isomorphic",
-    "TreeCountResult",
     "tree_count_closed_form",
     "tree_count_from_zeta",
-    "tree_count_kirchhoff",
     "DEFAULT_ENUM_CAP",
     "OrientedLineDigraph",
-    "ZetaReport",
     "census_coefficient",
     "enumerate_directed_cycles",
     "linear_subgraph_census",

@@ -37,16 +37,13 @@ from .intpoly import IntPoly, format_poly
 from .multigraph import (
     build_multigraph,
     format_edge_list,
+    kirchhoff_tree_count,
     parse_edge_list,
     validate_zeta_input,
 )
 from .ranktwo import completeness_check
 from .smallgraphs import connected_multigraphs
-from .trees import (
-    tree_count_closed_form,
-    tree_count_from_zeta,
-    tree_count_kirchhoff,
-)
+from .trees import tree_count_closed_form, tree_count_from_zeta
 from .zeta import (
     DEFAULT_ENUM_CAP,
     poly_invariants,
@@ -100,38 +97,38 @@ def _emit_json(obj):
 def _cmd_zeta(args) -> int:
     g = _load_graph(args.graph)
     names = list(_ENGINE_ORDER) if args.engine == "all" else [args.engine]
-    reports = []
+    polys = []
     for name in names:
         fn = _ENGINES[name]
-        reports.append((name, fn(g) if name != "enum" else fn(g, cap=args.enum_cap)))
-    polys = [r.poly for _, r in reports]
-    if any(p != polys[0] for p in polys):
-        for name, r in reports:
-            print(f"{name}: {format_poly(r.poly)}", file=sys.stderr)
+        polys.append(fn(g) if name != "enum" else fn(g, cap=args.enum_cap))
+    poly = polys[0]
+    if any(p != poly for p in polys):
+        for name, p in zip(names, polys):
+            print(f"{name}: {format_poly(p)}", file=sys.stderr)
         print("engines disagree", file=sys.stderr)
         return 1
-    check = poly_invariants(polys[0], g)  # raises on violation -> exit 1
+    poly_invariants(poly, g)  # raises on violation -> exit 1
     if args.format == "json":
         _emit_json({
             "graph": _graph_json(g),
             "engine": args.engine,
-            "coeffs": _coeff_strings(polys[0]),
+            "coeffs": _coeff_strings(poly),
             "invariants": {
-                "degree": polys[0].degree,
-                "leading_coeff": str(check.leading_coeff),
-                "girth_readout": check.girth_readout,
-                "even": check.even,
-                "bipartite": check.bipartite,
+                "degree": poly.degree,
+                "leading_coeff": str(poly.leading_coeff),
+                "girth_readout": poly.first_nonzero_power(start=1),
+                "even": poly.is_even(),
+                "bipartite": poly.is_even(),  # poly_invariants checked the two agree
                 "rank": g.rank,
             },
         })
     elif args.format == "csv":
         print("engine,power,coeff")
-        for name, r in reports:
-            for k in range(r.poly.degree + 1):
-                print(f"{name},{k},{r.poly.coeff(k)}")
+        for name, p in zip(names, polys):
+            for k in range(p.degree + 1):
+                print(f"{name},{k},{p.coeff(k)}")
     else:
-        print(format_poly(polys[0]))
+        print(format_poly(poly))
         if len(names) > 1:
             print(f"agreement: {' '.join(names)}")
     return 0
@@ -171,13 +168,13 @@ def _cmd_trees(args) -> int:
     methods = []
     if spec is not None:
         try:
-            methods.append(("closed-form", tree_count_closed_form(spec).kappa))
+            methods.append(("closed-form", tree_count_closed_form(spec)))
         except ParameterError:
             pass  # family without a published formula; other methods carry on
     if g.rank >= 2:
-        kappa = tree_count_from_zeta(zeta_bass(g).poly, g.rank).kappa
+        kappa = tree_count_from_zeta(zeta_bass(g), g.rank)
         methods.append(("zeta-derivative", kappa))
-    methods.append(("kirchhoff", tree_count_kirchhoff(g).kappa))
+    methods.append(("kirchhoff", kirchhoff_tree_count(g)))
     values = {v for _, v in methods}
     agree = len(values) == 1
     if args.format == "json":
@@ -200,21 +197,21 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_rank2(args) -> int:
-    report = completeness_check(args.max_edges)  # collision raises -> exit 1
+    checked = completeness_check(args.max_edges)  # collision raises -> exit 1
     rows = [
         {
             "spec": str(r.spec),
             "edges": r.edge_count,
-            "leading_coeff": str(r.leading_coeff),
-            "girth_readout": r.girth_readout,
+            "leading_coeff": str(r.poly.leading_coeff),
+            "girth_readout": r.poly.first_nonzero_power(start=1),
             "tree_count": str(r.tree_count),
             "poly_hash": _poly_hash(r.poly),
         }
-        for r in report.rows
+        for r in checked
     ]
     if args.format == "json":
         _emit_json({
-            "max_edges": report.max_edges,
+            "max_edges": args.max_edges,
             "count": len(rows),
             "rows": rows,
         })
@@ -228,7 +225,7 @@ def _cmd_rank2(args) -> int:
             writer.writerow([r[k] for k in columns])
     else:
         print(f"{len(rows)} canonical rank-two graphs with at most "
-              f"{report.max_edges} edges; all zeta polynomials distinct")
+              f"{args.max_edges} edges; all zeta polynomials distinct")
         header = f"{'spec':<14}{'|E|':>4}{'lead':>6}{'girth':>6}{'trees':>8}  hash"
         print(header)
         for r in rows:
@@ -245,15 +242,15 @@ def _cmd_verify(args) -> int:
         reasons = []
         bass = zeta_bass(g)
         line = zeta_line_det(g)
-        if bass.poly != line.poly:
+        if bass != line:
             reasons.append("bass != linedet")
         if 2 * g.edge_count <= args.enum_cap:
             enum = zeta_enum(g, cap=args.enum_cap)
             enum_checked += 1
-            if enum.poly != bass.poly:
+            if enum != bass:
                 reasons.append("enum != bass")
         try:
-            poly_invariants(bass.poly, g)
+            poly_invariants(bass, g)
         except VerificationError as exc:
             reasons.append(str(exc))
         if reasons:

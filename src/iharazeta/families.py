@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import InputError, ParameterError, VerificationError
 from .intpoly import IntPoly
 from .multigraph import Multigraph, build_multigraph
-from .zeta import ZetaReport, zeta_bass
+from .zeta import zeta_bass
 
 FAMILY_TAGS = (
     "Cycle",
@@ -518,13 +518,7 @@ NAMED_SMALL.update({
 
 # --- cross verification ---
 
-@dataclass(frozen=True)
-class FamilyCheck:
-    spec: FamilySpec
-    engine: ZetaReport
-
-
-def verify_family(spec: FamilySpec) -> FamilyCheck:
+def verify_family(spec: FamilySpec) -> None:
     """Compare closed_form against the determinant engine.
 
     Exact coefficient equality for every family. A mismatch raises
@@ -533,13 +527,12 @@ def verify_family(spec: FamilySpec) -> FamilyCheck:
     g = gen_family(spec)
     engine = zeta_bass(g)
     form = closed_form(spec)
-    if form != engine.poly:
-        top = max(form.degree, engine.poly.degree)
+    if form != engine:
+        top = max(form.degree, engine.degree)
         for k in range(top + 1):
-            if form.coeff(k) != engine.poly.coeff(k):
+            if form.coeff(k) != engine.coeff(k):
                 raise VerificationError(
                     f"{spec}: closed form disagrees with engine at "
-                    f"u^{k}: {form.coeff(k)} != {engine.poly.coeff(k)}"
+                    f"u^{k}: {form.coeff(k)} != {engine.coeff(k)}"
                 )
         raise VerificationError(f"{spec}: closed form disagrees with engine")
-    return FamilyCheck(spec, engine)

@@ -194,16 +194,6 @@ class IntPoly:
     def __str__(self):
         return format_poly(self)
 
-    # --- serialization ---
-
-    def to_json_dict(self) -> dict:
-        """{"coeffs": [...]} with decimal-string big integers."""
-        return {"coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "IntPoly":
-        return IntPoly(int(s) for s in d["coeffs"])
-
 
 def _coerce(x):
     if isinstance(x, IntPoly):

@@ -2,14 +2,15 @@
 
 A connected multigraph of minimum degree two whose cycle rank is two is
 one of exactly three shapes: two cycles sharing a single vertex, two
-cycles sharing a path, or two cycles joined by a path. Each shape maps
-onto a family tag (DoubleCycle, SharedPath, Handcuff), so enumeration is
-a walk over parameter tuples, with a brute-force audit at small sizes to
+cycles sharing a path, or two cycles joined by a path. Each shape is a
+family tag (DoubleCycle, SharedPath, Handcuff), so enumeration is a walk
+over parameter tuples, with a brute-force audit at small sizes to
 certify nothing was missed.
 
 completeness_check computes the reciprocal zeta polynomial of every
 canonical spec up to an edge budget and asserts they are pairwise
-distinct, reporting the invariants that separate them.
+distinct; its rows carry the polynomial and the tree count, so a
+hypothetical collision would be diagnosable.
 """
 
 from __future__ import annotations
@@ -25,59 +26,44 @@ from .zeta import zeta_bass
 RANK_TWO_TAGS = ("DoubleCycle", "SharedPath", "Handcuff")
 
 
-@dataclass(frozen=True)
-class RankTwoSpec:
-    """One of the three rank-two shapes with its parameters.
+def _edge_count(spec: FamilySpec) -> int:
+    if spec.tag == "DoubleCycle":
+        return sum(spec.params)
+    if spec.tag == "SharedPath":
+        m, n, p = spec.params
+        return m + n - p
+    m, n, l = spec.params
+    return m + n + l
 
-    rank_two_spec, canonicalize and enumerate_rank2 return parameters in
-    normal form: m <= n for DoubleCycle and Handcuff; internal path lengths
-    sorted so that 0 < 2p <= m <= n for SharedPath.
+
+def rank_two_spec(shape: str, *params) -> FamilySpec:
+    return canonicalize(FamilySpec(shape, tuple(params)))
+
+
+def canonicalize(spec: FamilySpec) -> FamilySpec:
+    """The unique canonical representative of spec's isomorphism class.
+
+    Parameters come back in normal form: m <= n for DoubleCycle and
+    Handcuff; internal path lengths sorted so that 0 < 2p <= m <= n for
+    SharedPath.
     """
-
-    shape: str
-    params: tuple
-
-    def family(self) -> FamilySpec:
-        return FamilySpec(self.shape, self.params)
-
-    def edge_count(self) -> int:
-        if self.shape == "DoubleCycle":
-            return sum(self.params)
-        if self.shape == "SharedPath":
-            m, n, p = self.params
-            return m + n - p
-        m, n, l = self.params
-        return m + n + l
-
-    def __str__(self):
-        return str(self.family())
-
-
-def rank_two_spec(shape: str, *params) -> RankTwoSpec:
-    if shape not in RANK_TWO_TAGS:
-        raise ParameterError(f"{shape!r} is not a rank-two shape")
-    spec = RankTwoSpec(shape, tuple(params))
-    check_domain(spec.family())
-    return canonicalize(spec)
-
-
-def canonicalize(spec: RankTwoSpec) -> RankTwoSpec:
-    """The unique canonical representative of spec's isomorphism class."""
-    check_domain(spec.family())
-    if spec.shape == "DoubleCycle":
+    if spec.tag not in RANK_TWO_TAGS:
+        raise ParameterError(f"{spec.tag!r} is not a rank-two shape")
+    check_domain(spec)
+    if spec.tag == "DoubleCycle":
         m, n = spec.params
-        return RankTwoSpec(spec.shape, (min(m, n), max(m, n)))
-    if spec.shape == "Handcuff":
+        return FamilySpec(spec.tag, (min(m, n), max(m, n)))
+    if spec.tag == "Handcuff":
         m, n, l = spec.params
-        return RankTwoSpec(spec.shape, (min(m, n), max(m, n), l))
+        return FamilySpec(spec.tag, (min(m, n), max(m, n), l))
     m, n, p = spec.params
     # The graph is three internally disjoint paths between the branch
     # vertices; only the multiset of their lengths matters.
     s1, s2, s3 = sorted((p, m - p, n - p))
-    return RankTwoSpec(spec.shape, (s1 + s2, s1 + s3, s1))
+    return FamilySpec(spec.tag, (s1 + s2, s1 + s3, s1))
 
 
-def enumerate_rank2(max_edges: int) -> list[RankTwoSpec]:
+def enumerate_rank2(max_edges: int) -> list[FamilySpec]:
     """All canonical rank-two specs with at most max_edges edges.
 
     Ordered by edge count, then shape, then parameters.
@@ -87,64 +73,54 @@ def enumerate_rank2(max_edges: int) -> list[RankTwoSpec]:
     specs = []
     for m in range(1, max_edges + 1):
         for n in range(m, max_edges - m + 1):
-            specs.append(RankTwoSpec("DoubleCycle", (m, n)))
+            specs.append(FamilySpec("DoubleCycle", (m, n)))
     # SharedPath by internal path lengths p <= s2 <= s3, |E| = p+s2+s3
     for p in range(1, max_edges + 1):
         for s2 in range(p, max_edges + 1):
             for s3 in range(s2, max_edges - p - s2 + 1):
-                specs.append(RankTwoSpec("SharedPath", (p + s2, p + s3, p)))
+                specs.append(FamilySpec("SharedPath", (p + s2, p + s3, p)))
     for l in range(1, max_edges + 1):
         for m in range(1, max_edges + 1):
             for n in range(m, max_edges - l - m + 1):
-                specs.append(RankTwoSpec("Handcuff", (m, n, l)))
-    order = {shape: i for i, shape in enumerate(RANK_TWO_TAGS)}
-    specs.sort(key=lambda s: (s.edge_count(), order[s.shape], s.params))
+                specs.append(FamilySpec("Handcuff", (m, n, l)))
+    order = {tag: i for i, tag in enumerate(RANK_TWO_TAGS)}
+    specs.sort(key=lambda s: (_edge_count(s), order[s.tag], s.params))
     return specs
 
 
 @dataclass(frozen=True)
 class RankTwoRow:
-    spec: RankTwoSpec
+    spec: FamilySpec
     edge_count: int
     poly: IntPoly
-    leading_coeff: int
-    girth_readout: int
     tree_count: int
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    max_edges: int
-    rows: tuple
-
-
-def completeness_check(max_edges: int) -> CompletenessReport:
+def completeness_check(max_edges: int) -> tuple[RankTwoRow, ...]:
     """Verify pairwise-distinct zeta polynomials across all canonical
     rank-two specs up to max_edges edges.
 
-    A collision raises VerificationError naming both specs; the report
-    rows carry the invariants (leading coefficient, girth readout, tree
-    count) that drive the distinctness argument, so a hypothetical
-    collision would be diagnosable.
+    A collision raises VerificationError naming both specs. Each row
+    carries the spec's polynomial, from which the leading coefficient and
+    the girth readout are read, and its Kirchhoff tree count: the
+    invariants that drive the distinctness argument.
     """
     rows = []
-    seen: dict[IntPoly, RankTwoSpec] = {}
+    seen: dict[IntPoly, FamilySpec] = {}
     for spec in enumerate_rank2(max_edges):
-        g = gen_family(spec.family())
-        report = zeta_bass(g)
-        other = seen.get(report.poly)
+        g = gen_family(spec)
+        poly = zeta_bass(g)
+        other = seen.get(poly)
         if other is not None:
             raise VerificationError(
                 f"zeta collision between rank-two specs {other} and "
                 f"{spec}: non-isomorphic graphs share a polynomial"
             )
-        seen[report.poly] = spec
+        seen[poly] = spec
         rows.append(RankTwoRow(
             spec=spec,
-            edge_count=spec.edge_count(),
-            poly=report.poly,
-            leading_coeff=report.leading_coeff,
-            girth_readout=report.girth_readout,
+            edge_count=_edge_count(spec),
+            poly=poly,
             tree_count=kirchhoff_tree_count(g),
         ))
-    return CompletenessReport(max_edges, tuple(rows))
+    return tuple(rows)

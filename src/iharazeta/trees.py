@@ -1,5 +1,6 @@
-"""Spanning-tree counts three ways: zeta derivative, closed form, Kirchhoff.
+"""Spanning-tree counts from the zeta derivative and from closed forms.
 
+The third method, Kirchhoff's cofactor, is multigraph.kirchhoff_tree_count.
 The zeta route reads the count out of the r-th derivative of the
 reciprocal zeta polynomial at u = 1, where r is the cycle rank. The
 division it performs must come out exact; that exactness doubles as an
@@ -9,34 +10,25 @@ graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from .errors import DegenerateRankError, ParameterError, VerificationError
 from .families import FamilySpec, check_domain
 from .intpoly import IntPoly
-from .multigraph import Multigraph, kirchhoff_tree_count
 
 
-@dataclass(frozen=True)
-class TreeCountResult:
-    kappa: int
-    method: str  # zeta-derivative | closed-form | kirchhoff
-    rank_used: int  # the r fed to the derivative formula; 0 if unused
-
-
-def tree_count_from_zeta(poly: IntPoly, r: int) -> TreeCountResult:
+def tree_count_from_zeta(poly: IntPoly, r: int) -> int:
     """Spanning-tree count from the reciprocal zeta polynomial.
 
     kappa = (d^r/du^r poly)(1) / ((-1)^(r-1) 2^r r! (r-1)) for cycle rank
     r >= 2. At r = 1 the divisor is zero and the derivative carries no
     information, so callers get DegenerateRankError and should fall back
-    to tree_count_kirchhoff.
+    to multigraph.kirchhoff_tree_count.
     """
     if r <= 1:
         raise DegenerateRankError(
             f"rank {r} graphs determine no tree count from the zeta "
-            "derivative; use tree_count_kirchhoff"
+            "derivative; use kirchhoff_tree_count"
         )
     numerator = poly.derivative(r).eval_at(1)
     divisor = (-1) ** (r - 1) * 2 ** r * factorial(r) * (r - 1)
@@ -46,7 +38,7 @@ def tree_count_from_zeta(poly: IntPoly, r: int) -> TreeCountResult:
             f"zeta derivative {numerator} not divisible by {divisor}; "
             "polynomial and rank do not match"
         )
-    return TreeCountResult(kappa, "zeta-derivative", r)
+    return kappa
 
 
 # Families with a published closed-form count, as functions of the
@@ -84,7 +76,7 @@ _CLOSED_FORMS = {
 }
 
 
-def tree_count_closed_form(spec: FamilySpec) -> TreeCountResult:
+def tree_count_closed_form(spec: FamilySpec) -> int:
     """Closed-form spanning-tree count for the families that have one."""
     check_domain(spec)
     formula = _CLOSED_FORMS.get(spec.tag)
@@ -92,8 +84,4 @@ def tree_count_closed_form(spec: FamilySpec) -> TreeCountResult:
         raise ParameterError(
             f"no closed-form tree count for family {spec.tag}"
         )
-    return TreeCountResult(formula(*spec.params), "closed-form", 0)
-
-
-def tree_count_kirchhoff(g: Multigraph) -> TreeCountResult:
-    return TreeCountResult(kirchhoff_tree_count(g), "kirchhoff", 0)
+    return formula(*spec.params)

@@ -84,38 +84,12 @@ def oriented_line_graph(g: Multigraph) -> OrientedLineDigraph:
     return OrientedLineDigraph(len(origin), tuple(origin), tuple(terminus), out)
 
 
-# --- reports ---
+# --- output checks ---
 
-@dataclass(frozen=True)
-class ZetaReport:
-    """A zeta reciprocal plus the invariants read off from it."""
-
-    poly: IntPoly
-    engine: str
-    edge_count: int
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
-
-    @property
-    def leading_coeff(self) -> int:
-        return self.poly.leading_coeff
-
-    @property
-    def girth_readout(self) -> int:
-        """Index of the first nonzero coefficient after the constant term."""
-        k = self.poly.first_nonzero_power(start=1)
-        if k is None:
-            raise ConsistencyError("zeta reciprocal has no nonconstant term")
-        return k
-
-    @property
-    def even(self) -> bool:
-        return self.poly.is_even()
-
-
-def _make_report(poly: IntPoly, engine: str, g: Multigraph) -> ZetaReport:
+def _checked(poly: IntPoly, engine: str, g: Multigraph) -> IntPoly:
+    """poly, after checking that its degree is 2|E| and its constant term
+    is 1; both hold for every graph the engines accept, so a failure is an
+    engine fault."""
     e = g.edge_count
     if poly.degree != 2 * e:
         raise ConsistencyError(
@@ -123,12 +97,12 @@ def _make_report(poly: IntPoly, engine: str, g: Multigraph) -> ZetaReport:
         )
     if poly.coeff(0) != 1:
         raise ConsistencyError(f"{engine}: constant term {poly.coeff(0)} != 1")
-    return ZetaReport(poly=poly, engine=engine, edge_count=e)
+    return poly
 
 
 # --- engine A: three-term determinant ---
 
-def zeta_bass(g: Multigraph) -> ZetaReport:
+def zeta_bass(g: Multigraph) -> IntPoly:
     """(1 - u^2)^(r-1) * det(I - Au + Qu^2), all exact.
 
     The determinant is det(I - uB) for the 2|V| x 2|V| linearisation
@@ -145,12 +119,12 @@ def zeta_bass(g: Multigraph) -> ZetaReport:
         [int(i == j) - 2 * a[i][j] + 4 * q[i][j] for j in range(n)]
         for i in range(n)
     ], "bass")
-    return _make_report(IntPoly.one_minus_u2_pow(g.rank - 1) * det, "bass", g)
+    return _checked(IntPoly.one_minus_u2_pow(g.rank - 1) * det, "bass", g)
 
 
 # --- engine B: line-graph determinant ---
 
-def zeta_line_det(g: Multigraph) -> ZetaReport:
+def zeta_line_det(g: Multigraph) -> IntPoly:
     """det(I - uT) over the oriented line graph."""
     olg = oriented_line_graph(g)
     t = [[int(j in row) for j in range(olg.n)] for row in olg.out]
@@ -158,7 +132,7 @@ def zeta_line_det(g: Multigraph) -> ZetaReport:
         [int(i == j) - 2 * x for j, x in enumerate(row)]
         for i, row in enumerate(t)
     ], "linedet")
-    return _make_report(det, "linedet", g)
+    return _checked(det, "linedet", g)
 
 
 def _checked_kernel(m, matrix_at_two, engine: str) -> IntPoly:
@@ -175,7 +149,7 @@ def _checked_kernel(m, matrix_at_two, engine: str) -> IntPoly:
 
 # --- engine C: linear-subgraph enumeration ---
 
-def zeta_enum(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> ZetaReport:
+def zeta_enum(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> IntPoly:
     """Coefficients as signed counts of directed-cycle packings.
 
     c_k sums (-1)^(number of cycles) over all vertex-disjoint unions of
@@ -190,7 +164,7 @@ def zeta_enum(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> ZetaReport:
             f"this graph has {olg.n}"
         )
     coeffs = _packing_coefficients(olg)
-    return _make_report(IntPoly(coeffs), "enum", g)
+    return _checked(IntPoly(coeffs), "enum", g)
 
 
 def _packing_coefficients(olg: OrientedLineDigraph):
@@ -286,17 +260,7 @@ def census_coefficient(census, k: int) -> int:
 
 # --- polynomial-level invariant checks ---
 
-@dataclass(frozen=True)
-class InvariantCheck:
-    leading_coeff: int
-    expected_leading: int
-    girth_readout: int
-    structural_girth: int
-    even: bool
-    bipartite: bool
-
-
-def poly_invariants(poly: IntPoly, g: Multigraph) -> InvariantCheck:
+def poly_invariants(poly: IntPoly, g: Multigraph) -> None:
     """Check the three polynomial-level readouts against graph structure.
 
     Leading coefficient must be (-1)^(|E|-|V|) * prod(d(v) - 1); the first
@@ -327,11 +291,3 @@ def poly_invariants(poly: IntPoly, g: Multigraph) -> InvariantCheck:
             f"evenness check failed: even={poly.is_even()}, "
             f"bipartite={report.bipartite}"
         )
-    return InvariantCheck(
-        leading_coeff=poly.leading_coeff,
-        expected_leading=expected_leading,
-        girth_readout=readout,
-        structural_girth=report.girth,
-        even=poly.is_even(),
-        bipartite=report.bipartite,
-    )

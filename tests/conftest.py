@@ -33,7 +33,7 @@ def sweep7():
 
 @pytest.fixture(scope="session")
 def sweep7_bass(sweep7):
-    """Bass-engine reports for the sweep, computed once."""
+    """Bass polynomials of the sweep, computed once."""
     return [zeta_bass(g) for g in sweep7]
 
 

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -63,6 +62,23 @@ def test_zeta_json_round_trips(tmp_path, capsys):
     }
 
 
+def test_zeta_json_invariants_of_a_bipartite_graph(tmp_path, capsys):
+    path = write_graph(tmp_path, "n 5\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n")  # K(2,3)
+    assert run(["zeta", "--graph", path, "--engine", "all",
+                "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["coeffs"] == ["1", "0", "0", "0", "-6", "0", "0", "0", "9",
+                             "0", "0", "0", "-4"]
+    assert obj["invariants"] == {
+        "degree": 12,
+        "leading_coeff": "-4",
+        "girth_readout": 4,
+        "even": True,
+        "bipartite": True,
+        "rank": 2,
+    }
+
+
 def test_identical_invocations_are_bit_identical(tmp_path, capsys):
     path = write_graph(tmp_path, TRIANGLE)
     run(["zeta", "--graph", path, "--format", "json"])
@@ -86,8 +102,7 @@ def test_zeta_csv(tmp_path, capsys):
 
 def test_zeta_engine_disagreement(tmp_path, capsys, monkeypatch):
     path = write_graph(tmp_path, TRIANGLE)
-    bad = SimpleNamespace(poly=IntPoly((1, 1)))
-    monkeypatch.setitem(cli._ENGINES, "linedet", lambda g: bad)
+    monkeypatch.setitem(cli._ENGINES, "linedet", lambda g: IntPoly((1, 1)))
     assert run(["zeta", "--graph", path, "--engine", "all"]) == 1
     assert "engines disagree" in capsys.readouterr().err
 
@@ -188,12 +203,8 @@ def test_trees_json(capsys):
 
 
 def test_trees_disagreement(monkeypatch, capsys):
-    real = cli.tree_count_kirchhoff
-    monkeypatch.setattr(
-        cli,
-        "tree_count_kirchhoff",
-        lambda g: SimpleNamespace(kappa=real(g).kappa + 1),
-    )
+    real = cli.kirchhoff_tree_count
+    monkeypatch.setattr(cli, "kirchhoff_tree_count", lambda g: real(g) + 1)
     assert run(["trees", "--spec", "G(3,4)"]) == 1
     assert "DISAGREEMENT" in capsys.readouterr().err
 
@@ -233,11 +244,20 @@ def test_rank2_csv(capsys):
 def test_rank2_json(capsys):
     assert run(["rank2", "--max-edges", "3", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert obj["max_edges"] == 3
-    assert obj["count"] == 4
-    assert [r["spec"] for r in obj["rows"]] == [
-        "G(1,1)", "G(1,2)", "Gp(2,2,1)", "H(1,1,1)"
-    ]
+    assert obj == {
+        "max_edges": 3,
+        "count": 4,
+        "rows": [
+            {"spec": "G(1,1)", "edges": 2, "leading_coeff": "-3",
+             "girth_readout": 1, "tree_count": "1", "poly_hash": "09dc982cbace"},
+            {"spec": "G(1,2)", "edges": 3, "leading_coeff": "-3",
+             "girth_readout": 1, "tree_count": "2", "poly_hash": "41b382cef2c4"},
+            {"spec": "Gp(2,2,1)", "edges": 3, "leading_coeff": "-4",
+             "girth_readout": 2, "tree_count": "3", "poly_hash": "20e74563115a"},
+            {"spec": "H(1,1,1)", "edges": 3, "leading_coeff": "-4",
+             "girth_readout": 1, "tree_count": "1", "poly_hash": "9d44d5c52e7d"},
+        ],
+    }
 
 
 # --- verify ---
@@ -261,8 +281,7 @@ def test_verify_json(capsys):
 
 
 def test_verify_reports_engine_mismatch(monkeypatch, capsys):
-    bad = SimpleNamespace(poly=IntPoly((1,)))
-    monkeypatch.setattr(cli, "zeta_line_det", lambda g: bad)
+    monkeypatch.setattr(cli, "zeta_line_det", lambda g: IntPoly((1,)))
     assert run(["verify", "--max-edges", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -276,8 +295,8 @@ def test_verify_failure_label_replays_the_graph(monkeypatch, capsys):
     real = cli.zeta_enum
 
     def wrong_for_target(g, cap):
-        rep = real(g, cap=cap)
-        return SimpleNamespace(poly=-rep.poly) if g == target else rep
+        poly = real(g, cap=cap)
+        return -poly if g == target else poly
 
     monkeypatch.setattr(cli, "zeta_enum", wrong_for_target)
     assert run(["verify", "--max-edges", "3", "--format", "json"]) == 1

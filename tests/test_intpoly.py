@@ -123,13 +123,6 @@ def test_format_poly():
     assert format_poly(IntPoly((0, 1)), var="x") == "x"
 
 
-def test_json_round_trip_big_coeffs():
-    p = IntPoly((1, -(10 ** 40), 0, 3))
-    d = p.to_json_dict()
-    assert d == {"coeffs": ["1", str(-(10 ** 40)), "0", "3"]}
-    assert IntPoly.from_json_dict(d) == p
-
-
 def test_hash_and_eq():
     assert hash(IntPoly((1, 2))) == hash(IntPoly((1, 2, 0)))
     assert IntPoly((1, 2)) != IntPoly((1, 2, 3))

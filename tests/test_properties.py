@@ -47,12 +47,12 @@ def multigraphs(draw):
 def test_engines_agree_on_random_multigraphs(case):
     edges, n, perm = case
     g = build_multigraph(edges, n)
-    poly = zeta_bass(g).poly
-    assert zeta_line_det(g).poly == poly
+    poly = zeta_bass(g)
+    assert zeta_line_det(g) == poly
     if 2 * g.edge_count <= 16:
-        assert zeta_enum(g).poly == poly
+        assert zeta_enum(g) == poly
     relabelled = build_multigraph([(perm[u], perm[v]) for u, v in edges], n)
-    assert zeta_bass(relabelled).poly == poly
+    assert zeta_bass(relabelled) == poly
     poly_invariants(poly, g)
     if g.rank >= 2:
-        assert tree_count_from_zeta(poly, g.rank).kappa == kirchhoff_tree_count(g)
+        assert tree_count_from_zeta(poly, g.rank) == kirchhoff_tree_count(g)

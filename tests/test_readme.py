@@ -1,0 +1,65 @@
+"""README claims checked against the code.
+
+The Library example runs and prints what its trailing comments say, and
+every command-line transcript that shows output replays through cli.run
+with the same stdout.
+"""
+
+from __future__ import annotations
+
+import re
+import shlex
+from pathlib import Path
+
+from iharazeta.cli import run
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _blocks(section: str, lang: str):
+    """Bodies of the ``lang`` fenced blocks under the ``## section`` heading."""
+    body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{lang}\n(.*?)```", body, re.S)
+
+
+def _sessions():
+    """(argv, output lines) for each ``$`` command of the shell blocks."""
+    sessions = []
+    for block in _blocks("Command line", "sh"):
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                sessions.append((shlex.split(line[2:], comments=True), []))
+            elif line:
+                sessions[-1][1].append(line)
+    return sessions
+
+
+def test_library_example_prints_what_its_comments_say(capsys):
+    (code,) = _blocks("Library example", "python")
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    claims = [line.split("#", 1)[1].strip()
+              for line in code.splitlines() if line.startswith("print(")]
+    assert claims and len(printed) == len(claims)
+    for out, claim in zip(printed, claims):
+        if "..." in claim:
+            assert out.startswith(claim.split("...")[0].rstrip()), claim
+        else:
+            assert out == claim
+
+
+def test_command_line_transcripts_replay(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    replayed = 0
+    for argv, output in _sessions():
+        if argv[0] == "printf":  # printf FORMAT > FILE
+            fmt, redirect, name = argv[1:]
+            assert redirect == ">"
+            (tmp_path / name).write_text(fmt.encode().decode("unicode_escape"))
+        elif argv[0] == "iharazeta" and output:
+            assert run(argv[1:]) == 0, argv
+            assert capsys.readouterr().out == "\n".join(output) + "\n", argv
+            replayed += 1
+        else:
+            assert argv[0] == "iharazeta" and not output, argv
+    assert replayed

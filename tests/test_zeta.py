@@ -11,12 +11,11 @@ from iharazeta.errors import (
     VerificationError,
 )
 from iharazeta.intpoly import IntPoly
-from iharazeta.multigraph import build_multigraph
+from iharazeta.multigraph import build_multigraph, structural_report
 from iharazeta import zeta
 from iharazeta.polydet import reversed_charpoly
 from iharazeta.smallgraphs import connected_multigraphs
 from iharazeta.zeta import (
-    ZetaReport,
     census_coefficient,
     enumerate_directed_cycles,
     linear_subgraph_census,
@@ -128,7 +127,7 @@ def test_arc_matrix_transpose_gives_same_determinant():
     olg = oriented_line_graph(g)
     transpose = [[int(i in olg.out[j]) for j in range(olg.n)]
                  for i in range(olg.n)]
-    assert reversed_charpoly(transpose) == zeta_line_det(g).poly
+    assert reversed_charpoly(transpose) == zeta_line_det(g)
 
 
 # --- frozen values ---
@@ -137,40 +136,32 @@ def test_cycle_fixtures():
     for n in range(1, 6):
         expected = (IntPoly((1,)) - IntPoly.monomial(n)) ** 2
         for engine in (zeta_bass, zeta_line_det, zeta_enum):
-            assert engine(cycle(n)).poly == expected
+            assert engine(cycle(n)) == expected
 
 
 def test_triangle_literal():
-    assert zeta_bass(cycle(3)).poly == IntPoly((1, 0, 0, -2, 0, 0, 1))
+    assert zeta_bass(cycle(3)) == IntPoly((1, 0, 0, -2, 0, 0, 1))
 
 
 def test_figure_eight_literal():
     g = build_multigraph([(0, 0), (0, 0)], 1)
     expected = IntPoly((1, -4, 2, 4, -3))
     for engine in (zeta_bass, zeta_line_det, zeta_enum):
-        assert engine(g).poly == expected
+        assert engine(g) == expected
 
 
 def test_triple_edge_literal():
     expected = IntPoly((1, 0, -6, 0, 9, 0, -4))
     for engine in (zeta_bass, zeta_line_det, zeta_enum):
-        assert engine(TRIPLE_EDGE).poly == expected
+        assert engine(TRIPLE_EDGE) == expected
 
 
 def test_report_metadata():
-    rep = zeta_bass(cycle(4))
-    assert rep.engine == "bass"
-    assert rep.edge_count == 4
-    assert rep.degree == 8
-    assert rep.leading_coeff == 1
-    assert rep.girth_readout == 4
-    assert rep.even
-
-
-def test_girth_readout_needs_a_nonconstant_term():
-    rep = ZetaReport(poly=IntPoly((1,)), engine="stub", edge_count=0)
-    with pytest.raises(ConsistencyError):
-        rep.girth_readout
+    poly = zeta_bass(cycle(4))
+    assert poly.degree == 8
+    assert poly.leading_coeff == 1
+    assert poly.first_nonzero_power(start=1) == 4
+    assert poly.is_even()
 
 
 # --- engine agreement ---
@@ -179,9 +170,9 @@ def test_engines_agree_on_small_sweep(sweep7):
     for g in sweep7:
         if g.edge_count > 4:
             continue
-        a = zeta_bass(g).poly
-        assert zeta_line_det(g).poly == a
-        assert zeta_enum(g).poly == a
+        a = zeta_bass(g)
+        assert zeta_line_det(g) == a
+        assert zeta_enum(g) == a
 
 
 @pytest.mark.parametrize("engine", [zeta_bass, zeta_line_det])
@@ -194,6 +185,30 @@ def test_wrong_kernel_coefficient_fails_the_check_point(monkeypatch, engine):
     monkeypatch.setattr(zeta, "reversed_charpoly", off_by_one)
     with pytest.raises(ConsistencyError, match="at u = 2"):
         engine(two_cycles_joined(3, 4))
+
+
+@pytest.mark.parametrize("engine", [zeta_bass, zeta_line_det])
+def test_wrong_degree_fails_the_output_check(monkeypatch, engine):
+    def two_terms_too_long(matrix):
+        # p + (u - 2) u^(deg p + 1) has the value of p at u = 2, so only
+        # the degree check can catch it
+        p = reversed_charpoly(matrix)
+        return p + IntPoly((-2, 1)) * IntPoly.monomial(p.degree + 1)
+
+    monkeypatch.setattr(zeta, "reversed_charpoly", two_terms_too_long)
+    with pytest.raises(ConsistencyError, match="degree"):
+        engine(two_cycles_joined(3, 4))
+
+
+def test_wrong_constant_term_fails_the_output_check(monkeypatch):
+    real = zeta._packing_coefficients
+
+    def constant_two(olg):
+        return [2] + real(olg)[1:]
+
+    monkeypatch.setattr(zeta, "_packing_coefficients", constant_two)
+    with pytest.raises(ConsistencyError, match="constant term 2"):
+        zeta_enum(cycle(3))
 
 
 def test_engines_validate_input():
@@ -221,14 +236,14 @@ def test_census_reproduces_enum_coefficients(sweep7):
         if g.edge_count > 4:
             continue
         census = linear_subgraph_census(oriented_line_graph(g))
-        poly = zeta_enum(g).poly
+        poly = zeta_enum(g)
         for k in range(1, 2 * g.edge_count + 1):
             assert census_coefficient(census, k) == poly.coeff(k)
 
 
 def test_enum_beyond_int64_limit():
     g = two_cycles_joined(4, 5)  # 18 directed edges, above the default cap
-    assert zeta_enum(g, cap=18).poly == zeta_bass(g).poly
+    assert zeta_enum(g, cap=18) == zeta_bass(g)
 
 
 def test_size_cap():
@@ -236,21 +251,22 @@ def test_size_cap():
         zeta_enum(complete(5))
     with pytest.raises(SizeCapError):
         zeta_enum(cycle(3), cap=5)
-    assert zeta_enum(cycle(3), cap=6).poly == zeta_bass(cycle(3)).poly
+    assert zeta_enum(cycle(3), cap=6) == zeta_bass(cycle(3))
 
 
 # --- polynomial-level invariants ---
 
 def test_poly_invariants_pass_on_engine_output():
-    check = poly_invariants(zeta_bass(TRIPLE_EDGE).poly, TRIPLE_EDGE)
-    assert check.leading_coeff == check.expected_leading == -4
-    assert check.girth_readout == check.structural_girth == 2
-    assert check.even and check.bipartite
+    poly = zeta_bass(TRIPLE_EDGE)
+    poly_invariants(poly, TRIPLE_EDGE)  # raises on any mismatch
+    assert poly.leading_coeff == -4
+    assert poly.first_nonzero_power(start=1) == 2
+    assert poly.is_even() and structural_report(TRIPLE_EDGE).bipartite
 
 
 def test_poly_invariants_name_the_failed_check():
     g = cycle(4)
-    poly_invariants(zeta_bass(g).poly, g)  # 1 - 2u^4 + u^8 passes
+    poly_invariants(zeta_bass(g), g)  # 1 - 2u^4 + u^8 passes
     with pytest.raises(VerificationError, match="degree"):
         poly_invariants(IntPoly((1, 0, 0, 0, -1)), g)
     with pytest.raises(VerificationError, match="leading-coefficient"):
