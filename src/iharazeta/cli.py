@@ -53,7 +53,6 @@ from .zeta import (
 )
 
 _ENGINES = {"bass": zeta_bass, "linedet": zeta_line_det, "enum": zeta_enum}
-_ENGINE_ORDER = ("bass", "linedet", "enum")
 
 
 def _load_graph(path):
@@ -96,11 +95,14 @@ def _emit_json(obj):
 
 def _cmd_zeta(args) -> int:
     g = _load_graph(args.graph)
-    names = list(_ENGINE_ORDER) if args.engine == "all" else [args.engine]
-    polys = []
-    for name in names:
+    names = list(_ENGINES) if args.engine == "all" else [args.engine]
+    polys = {}
+    # enum first, so that its size cap rejects a graph before any other
+    # engine has run
+    for name in sorted(names, key=lambda name: name != "enum"):
         fn = _ENGINES[name]
-        polys.append(fn(g) if name != "enum" else fn(g, cap=args.enum_cap))
+        polys[name] = fn(g) if name != "enum" else fn(g, cap=args.enum_cap)
+    polys = [polys[name] for name in names]
     poly = polys[0]
     if any(p != poly for p in polys):
         for name, p in zip(names, polys):
@@ -136,9 +138,8 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_family(args) -> int:
     spec = parse_family_spec(args.spec)
-    form = closed_form(spec)
-    if args.verify:
-        verify_family(spec)  # a mismatch raises (exit 1) before any output
+    # a mismatch raises (exit 1) before any output
+    form = verify_family(spec) if args.verify else closed_form(spec)
     if args.format == "json":
         body = {"type": "polynomial", "coeffs": _coeff_strings(form)}
         obj = {"spec": str(spec), "closed_form": body}

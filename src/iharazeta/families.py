@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, ParameterError, VerificationError
 from .intpoly import IntPoly
-from .multigraph import Multigraph, build_multigraph
+from .multigraph import Multigraph, build_multigraph, subdivide
 from .zeta import zeta_bass
 
 FAMILY_TAGS = (
@@ -190,37 +190,6 @@ def check_domain(spec: FamilySpec) -> None:
 
 # --- generators ---
 
-class _Alloc:
-    """Hands out fresh vertex indices while building a family graph."""
-
-    def __init__(self, used: int):
-        self.next = used
-
-    def take(self, count: int):
-        out = list(range(self.next, self.next + count))
-        self.next += count
-        return out
-
-
-def _cycle_edges(anchor: int, length: int, alloc: _Alloc):
-    """Edges of a cycle of the given length through ``anchor``.
-
-    length 1 is a loop, length 2 a doubled edge; length - 1 new vertices.
-    """
-    if length == 1:
-        return [(anchor, anchor)]
-    inner = alloc.take(length - 1)
-    ring = [anchor] + inner
-    return [(ring[i], ring[(i + 1) % length]) for i in range(length)]
-
-
-def _path_edges(a: int, b: int, length: int, alloc: _Alloc):
-    """Edges of a length-edge path from a to b; length - 1 new vertices."""
-    inner = alloc.take(length - 1)
-    chain = [a] + inner + [b]
-    return [(chain[i], chain[i + 1]) for i in range(length)]
-
-
 def gen_family(spec: FamilySpec) -> Multigraph:
     """Concrete Multigraph for an in-domain family spec."""
     check_domain(spec)
@@ -229,8 +198,7 @@ def gen_family(spec: FamilySpec) -> Multigraph:
         n, edges, _ = NAMED_SMALL[p[0]]
         return build_multigraph(edges, n)
     if tag == "Cycle":
-        alloc = _Alloc(1)
-        return build_multigraph(_cycle_edges(0, p[0], alloc), alloc.next)
+        return subdivide(1, [(0, 0)], [p])
     if tag == "Complete":
         n = p[0]
         return build_multigraph(
@@ -267,24 +235,14 @@ def gen_family(spec: FamilySpec) -> Multigraph:
         edges += [(i, i + n // 2) for i in range(n // 2)]
         return build_multigraph(edges, n)
     if tag == "DoubleCycle":
-        m, n = p
-        alloc = _Alloc(1)
-        edges = _cycle_edges(0, m, alloc) + _cycle_edges(0, n, alloc)
-        return build_multigraph(edges, alloc.next)
+        return subdivide(1, [(0, 0)], [p])  # both cycles through vertex 0
     if tag == "SharedPath":
         m, n, pp = p
-        alloc = _Alloc(2)
-        edges = _path_edges(0, 1, pp, alloc)       # the shared path
-        edges += _path_edges(0, 1, m - pp, alloc)  # rest of the m-cycle
-        edges += _path_edges(0, 1, n - pp, alloc)  # rest of the n-cycle
-        return build_multigraph(edges, alloc.next)
+        # the shared path, then the rest of the m-cycle and of the n-cycle
+        return subdivide(2, [(0, 1)], [(pp, m - pp, n - pp)])
     if tag == "Handcuff":
         m, n, l = p
-        alloc = _Alloc(2)
-        edges = _cycle_edges(0, m, alloc)
-        edges += _path_edges(0, 1, l, alloc)
-        edges += _cycle_edges(1, n, alloc)
-        return build_multigraph(edges, alloc.next)
+        return subdivide(2, [(0, 0), (0, 1), (1, 1)], [(m,), (l,), (n,)])
     if tag == "Bouquet":
         return build_multigraph([(0, 0)] * p[0], 1)
     if tag == "Dumbbell":
@@ -518,21 +476,19 @@ NAMED_SMALL.update({
 
 # --- cross verification ---
 
-def verify_family(spec: FamilySpec) -> None:
-    """Compare closed_form against the determinant engine.
+def verify_family(spec: FamilySpec) -> IntPoly:
+    """The closed form, after comparing it against the determinant engine.
 
     Exact coefficient equality for every family. A mismatch raises
     VerificationError carrying the first differing coefficient.
     """
-    g = gen_family(spec)
-    engine = zeta_bass(g)
+    engine = zeta_bass(gen_family(spec))
     form = closed_form(spec)
     if form != engine:
-        top = max(form.degree, engine.degree)
-        for k in range(top + 1):
-            if form.coeff(k) != engine.coeff(k):
-                raise VerificationError(
-                    f"{spec}: closed form disagrees with engine at "
-                    f"u^{k}: {form.coeff(k)} != {engine.coeff(k)}"
-                )
-        raise VerificationError(f"{spec}: closed form disagrees with engine")
+        k = next(k for k in range(max(form.degree, engine.degree) + 1)
+                 if form.coeff(k) != engine.coeff(k))
+        raise VerificationError(
+            f"{spec}: closed form disagrees with engine at "
+            f"u^{k}: {form.coeff(k)} != {engine.coeff(k)}"
+        )
+    return form

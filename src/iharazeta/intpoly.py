@@ -173,9 +173,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def __call__(self, x):
-        return self.eval_at(x)
-
     # --- comparison, hashing, display ---
 
     def __eq__(self, other):
@@ -203,16 +200,12 @@ def _coerce(x):
     return NotImplemented
 
 
-def format_poly(p: IntPoly, var: str = "u", ascending: bool = True) -> str:
-    """Human form, e.g. ``1 - 2u^3 + u^6`` (constant term first).
-
-    ascending=False flips to descending powers.
-    """
+def format_poly(p: IntPoly) -> str:
+    """Human form, e.g. ``1 - 2u^3 + u^6`` (constant term first)."""
     if p.is_zero():
         return "0"
-    powers = range(p.degree + 1) if ascending else range(p.degree, -1, -1)
     parts = []
-    for k in powers:
+    for k in range(p.degree + 1):
         c = p.coeff(k)
         if c == 0:
             continue
@@ -222,7 +215,7 @@ def format_poly(p: IntPoly, var: str = "u", ascending: bool = True) -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else str(mag)
-            body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+            body = f"{head}u" if k == 1 else f"{head}u^{k}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
         else:

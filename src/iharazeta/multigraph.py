@@ -119,6 +119,23 @@ def build_multigraph(edge_list, n_vertices: int) -> Multigraph:
     return Multigraph(n_vertices, loops, mult)
 
 
+def subdivide(n: int, slots, lengths) -> Multigraph:
+    """Anchor vertices 0..n-1 joined by paths, one per entry of lengths.
+
+    slots[i] = (v, w) is a pair of anchors (v == w closes a cycle at v) and
+    lengths[i] the lengths of the paths between them, each >= 1; a path of
+    length k adds k - 1 inner vertices, numbered after the anchors in slot
+    order.
+    """
+    edges = []
+    for (v, w), slot in zip(slots, lengths):
+        for length in slot:
+            path = [v, *range(n, n + length - 1), w]
+            n += length - 1
+            edges.extend(zip(path, path[1:]))
+    return build_multigraph(edges, n)
+
+
 # --- edge-list text format (the CLI's graph input) ---
 
 def parse_edge_list_text(text: str) -> Multigraph:

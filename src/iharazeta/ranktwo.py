@@ -26,16 +26,6 @@ from .zeta import zeta_bass
 RANK_TWO_TAGS = ("DoubleCycle", "SharedPath", "Handcuff")
 
 
-def _edge_count(spec: FamilySpec) -> int:
-    if spec.tag == "DoubleCycle":
-        return sum(spec.params)
-    if spec.tag == "SharedPath":
-        m, n, p = spec.params
-        return m + n - p
-    m, n, l = spec.params
-    return m + n + l
-
-
 def rank_two_spec(shape: str, *params) -> FamilySpec:
     return canonicalize(FamilySpec(shape, tuple(params)))
 
@@ -70,22 +60,22 @@ def enumerate_rank2(max_edges: int) -> list[FamilySpec]:
     """
     if max_edges < 2:
         raise ParameterError("rank-two graphs need at least 2 edges")
-    specs = []
+    keyed = []  # (edge count, shape, params)
     for m in range(1, max_edges + 1):
         for n in range(m, max_edges - m + 1):
-            specs.append(FamilySpec("DoubleCycle", (m, n)))
+            keyed.append((m + n, 0, (m, n)))
     # SharedPath by internal path lengths p <= s2 <= s3, |E| = p+s2+s3
     for p in range(1, max_edges + 1):
         for s2 in range(p, max_edges + 1):
             for s3 in range(s2, max_edges - p - s2 + 1):
-                specs.append(FamilySpec("SharedPath", (p + s2, p + s3, p)))
+                keyed.append((p + s2 + s3, 1, (p + s2, p + s3, p)))
     for l in range(1, max_edges + 1):
         for m in range(1, max_edges + 1):
             for n in range(m, max_edges - l - m + 1):
-                specs.append(FamilySpec("Handcuff", (m, n, l)))
-    order = {tag: i for i, tag in enumerate(RANK_TWO_TAGS)}
-    specs.sort(key=lambda s: (_edge_count(s), order[s.tag], s.params))
-    return specs
+                keyed.append((m + n + l, 2, (m, n, l)))
+    keyed.sort()
+    return [FamilySpec(RANK_TWO_TAGS[shape], params)
+            for _, shape, params in keyed]
 
 
 @dataclass(frozen=True)
@@ -119,7 +109,7 @@ def completeness_check(max_edges: int) -> tuple[RankTwoRow, ...]:
         seen[poly] = spec
         rows.append(RankTwoRow(
             spec=spec,
-            edge_count=_edge_count(spec),
+            edge_count=g.edge_count,
             poly=poly,
             tree_count=kirchhoff_tree_count(g),
         ))

@@ -5,28 +5,28 @@ every connected multigraph of minimum degree two with a bounded edge count.
 Rank one gives the cycles. Every class of rank r >= 2 is a subdivision of
 its kernel, the multigraph left when each degree-2 vertex is suppressed:
 connected, minimum degree >= 3, at most 2(r - 1) vertices and 3(r - 1)
-edges. Two subdivisions are isomorphic exactly when a kernel automorphism
-carries one's edge lengths onto the other's. So the generator takes one
-table per kernel class, gives each loop set and each parallel class a
-multiset of path lengths, and keeps an assignment only when it is least in
-its orbit under the kernel's automorphisms (orderly generation; see McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 1998). The kernels
-are few and small, so brute force over their multiplicity tables finds
-them; the sweep is practical to 9 edges (6,114 classes).
+edges. So the generator takes one table per kernel class, gives each loop
+set and each parallel class a multiset of path lengths in every way the
+edge budget allows, and keeps the first graph met per canonical key: a
+kernel automorphism can carry one assignment onto another, and the key
+is what finds those repeats. The kernels are few and small, so brute
+force over their multiplicity tables finds them; the sweep is practical
+to 9 edges (6,114 classes).
 
-Isomorphism reduction of the kernels, and the order of the output, use one
-canonical key per class, found by individualization-refinement (McKay and
-Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 2014): colour
-refinement from the (degree, loop count) partition, branching only on the
-cells refinement cannot split, and the least table encoding over the
-discrete colourings at the leaves of that search.
+Isomorphism reduction, of the kernels and of their subdivisions alike,
+and the order of the output use one canonical key per class, found by
+individualization-refinement (McKay and Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 2014): colour refinement from the
+(degree, loop count) partition, branching only on the cells refinement
+cannot split, and the least table encoding over the discrete colourings
+at the leaves of that search.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement
 
-from .multigraph import Multigraph, build_multigraph, table_is_connected
+from .multigraph import Multigraph, subdivide, table_is_connected
 
 
 def _ranks(labels):
@@ -173,6 +173,14 @@ def _class_order(key):
     return (sum(key[1]) + sum(key[2]), key)
 
 
+def _classes(graphs):
+    """The first graph met per canonical key, in class order."""
+    reps = {}
+    for g in graphs:
+        reps.setdefault(canonical_key(g), g)
+    return [reps[key] for key in sorted(reps, key=_class_order)]
+
+
 def _table_classes(max_edges, min_degree):
     """One labelled table per class of connected multigraphs with minimum
     degree >= min_degree and at most max_edges edges, in class order.
@@ -181,43 +189,10 @@ def _table_classes(max_edges, min_degree):
     canonical key. Cheap at the kernels' minimum degree 3; at minimum
     degree 2 it is the independent oracle for connected_multigraphs.
     """
-    reps = {}
-    for n in range(1, max_edges + 1):
-        # min degree d forces 2|E| >= d*n, no point building wider tables
-        if min_degree * n > 2 * max_edges:
-            break
-        for g in _labeled_tables(n, max_edges, min_degree):
-            key = canonical_key(g)
-            if key not in reps:
-                reps[key] = g
-    return [reps[key] for key in sorted(reps, key=_class_order)]
-
-
-def _slot_symmetries(kernel, slots):
-    """The non-identity permutations of slots induced by kernel automorphisms.
-
-    A slot is a loop set (v, v) or a parallel class (v, w), v < w. The
-    automorphisms are found by brute force over the vertex permutations
-    inside the (degree, loops) cells that keep the multiplicity table.
-    """
-    n = kernel.n
-    cells = {}
-    for v in range(n):
-        cells.setdefault((kernel.degree(v), kernel.loops[v]), []).append(v)
-    cells = list(cells.values())
-    domain = [v for cell in cells for v in cell]
-    index = {slot: i for i, slot in enumerate(slots)}
-    found = set()
-    for images in product(*(permutations(cell) for cell in cells)):
-        pi = dict(zip(domain, sum(images, ())))
-        if all(kernel.mult[pi[v]][pi[w]] == kernel.mult[v][w]
-               for v in range(n) for w in range(v + 1, n)):
-            found.add(tuple(
-                index[(min(pi[v], pi[w]), max(pi[v], pi[w]))]
-                for v, w in slots
-            ))
-    found.discard(tuple(range(len(slots))))
-    return found
+    # min degree d forces 2|E| >= d*n, no point building wider tables
+    widest = min(max_edges, 2 * max_edges // min_degree)
+    return _classes(g for n in range(1, widest + 1)
+                    for g in _labeled_tables(n, max_edges, min_degree))
 
 
 def _length_assignments(counts, budget):
@@ -234,31 +209,12 @@ def _length_assignments(counts, budget):
                 yield (first,) + rest
 
 
-def _subdivide(n, slots, lengths):
-    """The kernel's edges replaced by paths: kernel vertices 0..n-1 first,
-    then each path's inner vertices in slot order."""
-    edges = []
-    for (v, w), slot in zip(slots, lengths):
-        for length in slot:
-            path = [v, *range(n, n + length - 1), w]
-            n += length - 1
-            edges.extend(zip(path, path[1:]))
-    return build_multigraph(edges, n)
-
-
-def connected_multigraphs(max_edges: int):
-    """All connected multigraphs with minimum degree >= 2 and at most
-    max_edges edges, one representative per isomorphism class.
-
-    Rank one is the cycles; every other class is built as a subdivision of
-    a kernel (see the module docstring), with the kernel's vertices first.
-    Order is deterministic: by edge count, then vertex count, then the
-    canonical table key. 8 edges
-    (1,672 classes) take under a second, 9 edges (6,114) a few seconds.
-    """
+def _subdivisions(max_edges):
+    """Every subdivision with at most max_edges edges of every kernel, and
+    the cycles; isomorphic graphs repeat."""
     # rank one: a loop at one vertex, subdivided into each cycle length
-    graphs = [_subdivide(1, [(0, 0)], [(length,)])
-              for length in range(1, max_edges + 1)]
+    for length in range(1, max_edges + 1):
+        yield subdivide(1, [(0, 0)], [(length,)])
     for kernel in _table_classes(max_edges, 3):
         n = kernel.n
         slots, counts = [], []
@@ -268,11 +224,20 @@ def connected_multigraphs(max_edges: int):
                 if count:
                     slots.append((v, w))
                     counts.append(count)
-        symmetries = _slot_symmetries(kernel, slots)
         for lengths in _length_assignments(counts, max_edges):
-            # the symmetries form a group less its identity, so this
-            # compares with every other assignment in the orbit
-            if all(lengths <= tuple(lengths[i] for i in perm)
-                   for perm in symmetries):
-                graphs.append(_subdivide(n, slots, lengths))
-    return sorted(graphs, key=lambda g: _class_order(canonical_key(g)))
+            yield subdivide(n, slots, lengths)
+
+
+def connected_multigraphs(max_edges: int):
+    """All connected multigraphs with minimum degree >= 2 and at most
+    max_edges edges, one representative per isomorphism class.
+
+    Rank one is the cycles; every other class is built as a subdivision of
+    a kernel (see the module docstring), with the kernel's vertices first.
+    The first graph met per canonical key is kept; length assignments come
+    in lexicographic order, so that is the least assignment of its class.
+    Order is deterministic: by edge count, then vertex count, then the
+    canonical table key. 8 edges (1,672 classes) take under a second, 9
+    edges (6,114) a few seconds.
+    """
+    return _classes(_subdivisions(max_edges))

@@ -202,6 +202,22 @@ def test_trees_json(capsys):
     }
 
 
+@pytest.mark.parametrize("spec, vertices, edges", [
+    ("C(4)", 4, [(0, 1), (0, 3), (1, 2), (2, 3)]),
+    ("G(2,3)", 4, [(0, 1), (0, 1), (0, 2), (0, 3), (2, 3)]),
+    ("Gp(3,4,1)", 5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)]),
+    ("H(2,3,2)", 6,
+     [(0, 2), (0, 2), (0, 3), (1, 3), (1, 4), (1, 5), (4, 5)]),
+])
+def test_trees_json_family_vertex_numbering(capsys, spec, vertices, edges):
+    # the printed edge list numbers the anchors first, then each path's
+    # inner vertices in order
+    assert run(["trees", "--spec", spec, "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["graph"] == {"vertices": vertices,
+                            "edges": [list(e) for e in edges]}
+
+
 def test_trees_disagreement(monkeypatch, capsys):
     real = cli.kirchhoff_tree_count
     monkeypatch.setattr(cli, "kirchhoff_tree_count", lambda g: real(g) + 1)
@@ -364,6 +380,22 @@ def test_enum_cap_exit_code(tmp_path, capsys):
     assert run(["zeta", "--graph", path3, "--engine", "enum",
                 "--enum-cap", "5"]) == 3
     capsys.readouterr()
+
+
+def test_enum_cap_is_checked_before_the_other_engines(
+        tmp_path, monkeypatch, capsys):
+    def never(g):
+        raise AssertionError("an engine ran before the enum cap check")
+
+    monkeypatch.setitem(cli._ENGINES, "bass", never)
+    monkeypatch.setitem(cli._ENGINES, "linedet", never)
+    path = write_graph(tmp_path, format_edge_list(
+        gen_family(parse_family_spec("K(5)"))))
+    assert run(["zeta", "--graph", path, "--engine", "all"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: enumeration engine capped at 16 "
+                            "line-graph vertices, this graph has 20\n")
 
 
 def test_unknown_subcommand():

@@ -28,7 +28,7 @@ def test_canonical_parameter_normalization():
     assert rank_two_spec("SharedPath", 5, 4, 3).params == (3, 4, 1)
     spec = rank_two_spec("Handcuff", 5, 2, 3)
     assert str(spec) == "H(2,5,3)"
-    assert ranktwo._edge_count(spec) == 10
+    assert gen_family(spec).edge_count == 10
 
 
 def test_canonicalize_is_idempotent():
@@ -92,11 +92,10 @@ def test_enumerated_specs_are_canonical_and_in_budget():
     for spec in specs:
         assert spec.tag in RANK_TWO_TAGS
         assert spec == canonicalize(spec)
-        assert 2 <= ranktwo._edge_count(spec) <= 8
         g = gen_family(spec)
+        assert 2 <= g.edge_count <= 8
         assert g.rank == 2
-        assert g.edge_count == ranktwo._edge_count(spec)
-    counts = [ranktwo._edge_count(s) for s in specs]
+    counts = [gen_family(s).edge_count for s in specs]
     assert counts == sorted(counts)
 
 
