@@ -244,34 +244,27 @@ def _girth(g: Multigraph) -> int | None:
         return 1
     if any(g.mult[i][j] >= 2 for i in range(g.n) for j in range(i + 1, g.n)):
         return 2
-    # Simple graph now: shortest cycle through each edge {u, v} is 1 plus
-    # the shortest u-v path avoiding that edge; minimise over edges.
+    # Simple graph now. A BFS from root s meets each non-tree edge {v, w}
+    # once from each side; with the tree paths from s it closes a walk of
+    # length dist[v] + dist[w] + 1 that contains a cycle no longer, and a
+    # root on a shortest cycle meets an edge where that walk is the cycle.
+    adj = [g.neighbors(v) for v in range(g.n)]
     best = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.mult[u][v]:
-                continue
-            dist = _bfs_distance_avoiding(g, u, v)
-            if dist is not None and (best is None or dist + 1 < best):
-                best = dist + 1
+    for s in range(g.n):
+        dist, parent = [-1] * g.n, [-1] * g.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w], parent[w] = dist[v] + 1, v
+                    queue.append(w)
+                elif w != parent[v]:
+                    length = dist[v] + dist[w] + 1
+                    if best is None or length < best:
+                        best = length
     return best
-
-
-def _bfs_distance_avoiding(g: Multigraph, src: int, dst: int) -> int | None:
-    """Shortest src-dst path length with the direct edge {src, dst} removed."""
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if {v, u} == {src, dst}:
-                continue
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                if u == dst:
-                    return dist[u]
-                queue.append(u)
-    return dist.get(dst)
 
 
 def _is_bipartite(g: Multigraph) -> bool:

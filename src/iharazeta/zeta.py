@@ -9,7 +9,9 @@ computations of it live here:
                  graph on the 2|E| directed edges;
 * zeta_enum:     signed exhaustive count of vertex-disjoint directed-cycle
                  packings (linear subgraphs) of the oriented line graph,
-                 one coefficient per packing size.
+                 one coefficient per packing size; its dynamic program
+                 sums each transition per vertex of G, minus the
+                 backtrack, and drops zero-count states.
 
 The first two run in polynomial time through one exact det(I - uM)
 kernel (one pass modulo a Proth prime above twice the Euclidean Hadamard
@@ -154,16 +156,17 @@ def zeta_enum(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> IntPoly:
 
     c_k sums (-1)^(number of cycles) over all vertex-disjoint unions of
     directed cycles covering exactly k line-graph vertices; c_0 = 1. The
-    cap bounds the number of line-graph vertices (2|E|); exceeding it is a
-    SizeCapError, an intentional scale limit rather than a failure.
+    cap bounds the number of line-graph vertices (2|E|) and is checked
+    before the line graph is built; exceeding it is a SizeCapError, an
+    intentional scale limit rather than a failure.
     """
-    olg = oriented_line_graph(g)
-    if olg.n > cap:
+    validate_zeta_input(g)
+    if 2 * g.edge_count > cap:
         raise SizeCapError(
             f"enumeration engine capped at {cap} line-graph vertices, "
-            f"this graph has {olg.n}"
+            f"this graph has {2 * g.edge_count}"
         )
-    coeffs = _packing_coefficients(olg)
+    coeffs = _packing_coefficients(oriented_line_graph(g))
     return _checked(IntPoly(coeffs), "enum", g)
 
 
@@ -176,30 +179,46 @@ def _packing_coefficients(olg: OrientedLineDigraph):
     path's anchor is always the lowest bit of the support mask. Finishing
     a cycle flips the sign; the signed totals per support size are the
     coefficients.
+
+    A path ending at w extends to x exactly when origin[w] = terminus[x]
+    and w != x ^ 1. So per mask the open-path counts are summed by the
+    graph vertex origin[w], and the count entering x is that vertex's sum
+    minus the backtrack w = x ^ 1; closing uses the same formula with x
+    the anchor. A state whose count is 0 is not created. Each state has
+    exactly one predecessor mask, so it is written once, never added to.
     """
-    n, out = olg.n, olg.out
+    n, origin, terminus = olg.n, olg.origin, olg.terminus
+    into = [0] * (max(terminus) + 1)  # into[v]: bits of the x ending at v
+    for x, v in enumerate(terminus):
+        into[v] |= 1 << x
+    full = (1 << n) - 1
     c = [1] + [0] * n
-    layer: dict[int, dict[int, int]] = {}
-    for a in range(n):
-        layer[1 << a] = {a: 1}
+    layer = {1 << a: {a: 1} for a in range(n)}
     k = 1
     while layer:
         nxt: dict[int, dict[int, int]] = {}
-        for mask, endpoints in layer.items():
-            anchor = (mask & -mask).bit_length() - 1
-            closed = 0
-            for w, cnt in endpoints.items():
-                for x in out[w]:
-                    if x == anchor:
-                        closed -= cnt
-                    elif x > anchor and not (mask >> x) & 1:
-                        dest = nxt.setdefault(mask | (1 << x), {})
-                        dest[x] = dest.get(x, 0) + cnt
+        for mask, ends in layer.items():
+            low = mask & -mask
+            anchor = low.bit_length() - 1
+            free = full ^ mask ^ (low - 1)  # the x > anchor outside mask
+            at: dict[int, int] = {}
+            for w, cnt in ends.items():
+                v = origin[w]
+                at[v] = at.get(v, 0) + cnt
+            for v, total in at.items():
+                bits = into[v] & free
+                while bits:
+                    b = bits & -bits
+                    bits ^= b
+                    x = b.bit_length() - 1
+                    cnt = total - ends.get(x ^ 1, 0)
+                    if cnt:
+                        nxt.setdefault(mask | b, {})[x] = cnt
+            closed = ends.get(anchor ^ 1, 0) - at.get(terminus[anchor], 0)
             if closed:
                 c[k] += closed
                 for a2 in range(anchor):
-                    dest = nxt.setdefault(mask | (1 << a2), {})
-                    dest[a2] = dest.get(a2, 0) + closed
+                    nxt.setdefault(mask | 1 << a2, {})[a2] = closed
         layer = nxt
         k += 1
     return c

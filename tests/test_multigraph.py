@@ -186,6 +186,20 @@ def test_girth_finds_shortest_cycle_not_first():
     assert structural_report(g).girth == 4
 
 
+def test_girth_matches_networkx_on_random_simple_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        p = rng.choice((0.15, 0.25, 0.4, 0.7))
+        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        h = nx.Graph(edges)
+        h.add_nodes_from(range(n))
+        want = nx.girth(h)
+        got = structural_report(build_multigraph(edges, n)).girth
+        assert got == (None if want == float("inf") else want), edges
+
+
 def test_bipartite_rules():
     assert structural_report(cycle(4)).bipartite
     assert not structural_report(cycle(5)).bipartite

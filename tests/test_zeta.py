@@ -10,6 +10,7 @@ from iharazeta.errors import (
     SizeCapError,
     VerificationError,
 )
+from iharazeta.families import closed_form, family_spec, gen_family
 from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import build_multigraph, structural_report
 from iharazeta import zeta
@@ -252,6 +253,27 @@ def test_size_cap():
     with pytest.raises(SizeCapError):
         zeta_enum(cycle(3), cap=5)
     assert zeta_enum(cycle(3), cap=6) == zeta_bass(cycle(3))
+
+
+def test_size_cap_is_checked_before_the_line_graph_is_built(monkeypatch):
+    def refuse(g):
+        raise AssertionError("line graph built before the cap check")
+
+    monkeypatch.setattr(zeta, "oriented_line_graph", refuse)
+    with pytest.raises(SizeCapError, match="200"):
+        zeta_enum(build_multigraph([(0, 0)] * 100, 1))
+
+
+@pytest.mark.parametrize("spec", [
+    *(family_spec("Bouquet", a) for a in range(1, 10)),
+    family_spec("Dumbbell", 4, 4, 1),
+    family_spec("ThreeVertex", 1, 1, 1, 2, 2, 2),
+], ids=str)
+def test_enum_on_dense_line_graphs(spec):
+    # all 2|E| directed edges start at one to three graph vertices, so the
+    # per-vertex sums are dense and many transitions cancel to 0
+    g = gen_family(spec)
+    assert zeta_enum(g, cap=2 * g.edge_count) == closed_form(spec)
 
 
 # --- polynomial-level invariants ---
