@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-edges", type=_int_at_least(1), required=True)
     v.add_argument("--enum-cap", type=_int_at_least(0),
                    default=DEFAULT_ENUM_CAP)
-    add_format(v)
+    v.add_argument("--format", choices=("human", "json"), default="human")
     v.set_defaults(fn=_cmd_verify)
     return ap
 

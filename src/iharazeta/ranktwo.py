@@ -26,10 +26,6 @@ from .zeta import zeta_bass
 RANK_TWO_TAGS = ("DoubleCycle", "SharedPath", "Handcuff")
 
 
-def rank_two_spec(shape: str, *params) -> FamilySpec:
-    return canonicalize(FamilySpec(shape, tuple(params)))
-
-
 def canonicalize(spec: FamilySpec) -> FamilySpec:
     """The unique canonical representative of spec's isomorphism class.
 

@@ -103,16 +103,6 @@ def canonical_key(g: Multigraph) -> tuple:
     return search(_ranks([(g.degree(v), g.loops[v]) for v in range(n)]))
 
 
-def is_isomorphic(g: Multigraph, h: Multigraph) -> bool:
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    if sorted(g.loops) != sorted(h.loops):
-        return False
-    return canonical_key(g) == canonical_key(h)
-
-
 def _labeled_tables(n, max_edges, min_degree):
     """Yield connected labeled Multigraphs on n vertices within the budget.
 

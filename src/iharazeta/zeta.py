@@ -13,6 +13,10 @@ computations of it live here:
                  sums each transition per vertex of G, minus the
                  backtrack, and drops zero-count states.
 
+The oriented line graph is kept as two columns, (origin, terminus), over
+the 2|E| directed edges; its arcs follow from them by one rule (see
+oriented_line_graph).
+
 The first two run in polynomial time through one exact det(I - uM)
 kernel (one pass modulo a Proth prime above twice the Euclidean Hadamard
 bound); their independence lies in the matrices they pass it. The
@@ -23,7 +27,6 @@ three on every small multigraph is the package's core acceptance test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .errors import ConsistencyError, SizeCapError, VerificationError
@@ -41,49 +44,30 @@ DEFAULT_ENUM_CAP = 16
 
 # --- oriented line graph ---
 
-@dataclass(frozen=True)
-class OrientedLineDigraph:
-    """Directed graph on the 2|E| directed edges of a multigraph.
+def oriented_line_graph(g: Multigraph) -> tuple[tuple, tuple]:
+    """(origin, terminus): the 2|E| directed edges of g, as two columns.
 
     Directed edge i runs from origin[i] to terminus[i]. Edge e of
     g.edge_list() yields i = 2e and i = 2e + 1, so i >> 1 is the parent
     edge, i & 1 says which orientation i is, and i ^ 1 is its inverse.
-    out[i] lists, ascending, the j with an arc i -> j: j != i ^ 1 and
-    terminus[j] = origin[i]. These are the consecutive non-backtracking
-    pairs, with arcs recorded backward relative to walk order; the
-    determinant downstream is transpose-invariant, so the recording
-    direction carries no content.
-    """
+    The oriented line graph has an arc i -> j exactly when j != i ^ 1 and
+    terminus[j] == origin[i]: the consecutive non-backtracking pairs, with
+    arcs recorded backward relative to walk order; the determinant
+    downstream is transpose-invariant, so the recording direction carries
+    no content.
 
-    n: int
-    origin: tuple
-    terminus: tuple
-    out: tuple
-
-
-def oriented_line_graph(g: Multigraph) -> OrientedLineDigraph:
-    """Build the oriented line graph, extended to loops and parallel edges.
-
-    Each non-loop edge yields two mutually inverse directed edges. Each
-    loop yields two directed self-edges at its vertex, declared mutual
+    This extends the line graph to loops and parallel edges. Each loop
+    yields two directed self-edges at its vertex, declared mutual
     inverses: a loop may be traversed repeatedly in the same rotational
     sense (self-arc) but cannot immediately reverse. Parallel edges give
-    distinct vertices with edge-matched inverses, so leaving by one copy
-    and returning by another is not a backtrack. Grouping the directed
-    edges by terminus builds out in O(sum of squared degrees).
+    distinct directed edges with edge-matched inverses, so leaving by one
+    copy and returning by another is not a backtrack.
     """
-    validate_zeta_input(g)
     origin, terminus = [], []
     for u, v in g.edge_list():
         origin += (u, v)
         terminus += (v, u)
-    into = [[] for _ in range(g.n)]
-    for j, v in enumerate(terminus):
-        into[v].append(j)
-    out = tuple(
-        tuple(j for j in into[v] if j != i ^ 1) for i, v in enumerate(origin)
-    )
-    return OrientedLineDigraph(len(origin), tuple(origin), tuple(terminus), out)
+    return tuple(origin), tuple(terminus)
 
 
 # --- output checks ---
@@ -128,8 +112,12 @@ def zeta_bass(g: Multigraph) -> IntPoly:
 
 def zeta_line_det(g: Multigraph) -> IntPoly:
     """det(I - uT) over the oriented line graph."""
-    olg = oriented_line_graph(g)
-    t = [[int(j in row) for j in range(olg.n)] for row in olg.out]
+    validate_zeta_input(g)
+    origin, terminus = oriented_line_graph(g)
+    t = [
+        [int(j != i ^ 1 and w == v) for j, w in enumerate(terminus)]
+        for i, v in enumerate(origin)
+    ]
     det = _checked_kernel(t, [
         [int(i == j) - 2 * x for j, x in enumerate(row)]
         for i, row in enumerate(t)
@@ -166,11 +154,11 @@ def zeta_enum(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> IntPoly:
             f"enumeration engine capped at {cap} line-graph vertices, "
             f"this graph has {2 * g.edge_count}"
         )
-    coeffs = _packing_coefficients(oriented_line_graph(g))
+    coeffs = _packing_coefficients(*oriented_line_graph(g))
     return _checked(IntPoly(coeffs), "enum", g)
 
 
-def _packing_coefficients(olg: OrientedLineDigraph):
+def _packing_coefficients(origin, terminus):
     """[c_0 .. c_n] by dynamic programming over (support mask, endpoint).
 
     States are partial packings: a set of finished cycles plus one open
@@ -187,7 +175,7 @@ def _packing_coefficients(olg: OrientedLineDigraph):
     the anchor. A state whose count is 0 is not created. Each state has
     exactly one predecessor mask, so it is written once, never added to.
     """
-    n, origin, terminus = olg.n, olg.origin, olg.terminus
+    n = len(origin)
     into = [0] * (max(terminus) + 1)  # into[v]: bits of the x ending at v
     for x, v in enumerate(terminus):
         into[v] |= 1 << x
@@ -226,11 +214,15 @@ def _packing_coefficients(olg: OrientedLineDigraph):
 
 # --- explicit census for the contribution-table audits ---
 
-def enumerate_directed_cycles(olg: OrientedLineDigraph):
+def enumerate_directed_cycles(origin, terminus):
     """All simple directed cycles as (vertex mask, length), anchored at
     their smallest vertex. Exponential in general; meant for the sparse
     line graphs of the contribution-table checks."""
-    out = olg.out
+    n = len(origin)
+    out = [
+        [j for j in range(n) if j != i ^ 1 and terminus[j] == v]
+        for i, v in enumerate(origin)
+    ]
     cycles = []
 
     def walk(anchor, w, mask, length):
@@ -240,12 +232,12 @@ def enumerate_directed_cycles(olg: OrientedLineDigraph):
             elif x > anchor and not (mask >> x) & 1:
                 walk(anchor, x, mask | (1 << x), length + 1)
 
-    for a in range(olg.n):
+    for a in range(n):
         walk(a, a, 1 << a, 1)
     return cycles
 
 
-def linear_subgraph_census(olg: OrientedLineDigraph):
+def linear_subgraph_census(origin, terminus):
     """Occurrence counts {(k, r): count} over all linear subgraphs.
 
     k is the number of line-graph vertices covered and r the number of
@@ -253,7 +245,7 @@ def linear_subgraph_census(olg: OrientedLineDigraph):
     structurally different enumeration (explicit cycles, then disjoint
     packing) used to audit the coefficient tables.
     """
-    cycles = enumerate_directed_cycles(olg)
+    cycles = enumerate_directed_cycles(origin, terminus)
     census: dict[tuple[int, int], int] = {}
 
     def pack(start, used, k, r):
@@ -280,12 +272,13 @@ def census_coefficient(census, k: int) -> int:
 # --- polynomial-level invariant checks ---
 
 def poly_invariants(poly: IntPoly, g: Multigraph) -> None:
-    """Check the three polynomial-level readouts against graph structure.
+    """Check the four polynomial-level readouts against graph structure.
 
-    Leading coefficient must be (-1)^(|E|-|V|) * prod(d(v) - 1); the first
-    nonzero coefficient after c_0 must sit at the (generalized) girth; the
-    polynomial is even iff the graph is bipartite. Any mismatch raises
-    VerificationError naming the failed check.
+    The degree must be 2|E|; the leading coefficient must be
+    (-1)^(|E|-|V|) * prod(d(v) - 1); the first nonzero coefficient after
+    c_0 must sit at the (generalized) girth; the polynomial is even iff the
+    graph is bipartite. Any mismatch raises VerificationError naming the
+    failed check.
     """
     e = g.edge_count
     report = structural_report(g)

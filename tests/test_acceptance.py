@@ -391,7 +391,7 @@ def _census_slice(census, k):
 def test_criterion_9_cycle_packing_census():
     # two cycles of lengths 3 and 4 sharing a vertex
     g = gen_family(family_spec("DoubleCycle", 3, 4))
-    census = linear_subgraph_census(oriented_line_graph(g))
+    census = linear_subgraph_census(*oriented_line_graph(g))
     poly = zeta_enum(g)
     assert poly == zeta_bass(g)
     # per-coefficient packing counts, keyed by cycle count r
@@ -416,7 +416,7 @@ def test_criterion_9_cycle_packing_census():
 
     # cycles of lengths 5 and 6 sharing a path of 2 edges
     g = gen_family(family_spec("SharedPath", 5, 6, 2))
-    census = linear_subgraph_census(oriented_line_graph(g))
+    census = linear_subgraph_census(*oriented_line_graph(g))
     assert census == {
         (18, 1): 2, (18, 3): 2, (14, 2): 1, (13, 2): 2, (12, 2): 3,
         (11, 2): 2, (10, 2): 1, (7, 1): 2, (6, 1): 2, (5, 1): 2,
@@ -428,7 +428,7 @@ def test_criterion_9_cycle_packing_census():
 
     # cycles of lengths 4 and 3 joined by a path of 2 edges
     g = gen_family(family_spec("Handcuff", 4, 3, 2))
-    census = linear_subgraph_census(oriented_line_graph(g))
+    census = linear_subgraph_census(*oriented_line_graph(g))
     assert census == {
         (3, 1): 2, (4, 1): 2, (6, 2): 1, (7, 2): 4, (8, 2): 1,
         (10, 3): 2, (11, 1): 4, (11, 3): 2, (14, 2): 4, (14, 4): 1,

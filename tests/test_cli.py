@@ -361,6 +361,9 @@ def test_bad_sweep_sizes_are_rejected_before_generation(
          "--enum-cap: must be >= 0, got -1"),
         (["zeta", "--graph", path, "--enum-cap", "-2"],
          "--enum-cap: must be >= 0, got -2"),
+        # verify has no csv form; refused, not printed as human text
+        (["verify", "--max-edges", "2", "--format", "csv"],
+         "--format: invalid choice: 'csv'"),
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)

@@ -1,16 +1,21 @@
 """README claims checked against the code.
 
-The Library example runs and prints what its trailing comments say, and
-every command-line transcript that shows output replays through cli.run
-with the same stdout.
+The Library example runs and prints what its trailing comments say,
+importing the package alone loads none of its modules, and every
+command-line transcript that shows output replays through cli.run with
+the same stdout.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
+import iharazeta
 from iharazeta.cli import run
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -46,6 +51,19 @@ def test_library_example_prints_what_its_comments_say(capsys):
             assert out.startswith(claim.split("...")[0].rstrip()), claim
         else:
             assert out == claim
+
+
+def test_importing_the_package_loads_no_module():
+    # a fresh interpreter: this one has already imported the modules
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(iharazeta.__file__).resolve().parents[1]))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, iharazeta; "
+         "print(sorted(m for m in sys.modules if m.startswith('iharazeta.')))"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert loaded == "[]\n"
 
 
 def test_command_line_transcripts_replay(tmp_path, monkeypatch, capsys):

@@ -14,7 +14,6 @@ from iharazeta.smallgraphs import (
     _table_classes,
     canonical_key,
     connected_multigraphs,
-    is_isomorphic,
 )
 
 
@@ -66,8 +65,9 @@ def test_all_classes_up_to_three_edges_are_the_expected_ones():
         "H(1,1,1)",   # two looped vertices joined by an edge
     ]
     models = [gen_family(parse_family_spec(t)) for t in expected]
+    keys = [canonical_key(g) for g in reps]
     for model in models:
-        assert sum(1 for g in reps if is_isomorphic(g, model)) == 1
+        assert keys.count(canonical_key(model)) == 1
     assert len(reps) == len(models)
 
 
@@ -106,7 +106,6 @@ def test_canonical_key_is_relabeling_invariant():
             rng.shuffle(perm)
             h = relabel(g, perm)
             assert canonical_key(h) == key
-            assert is_isomorphic(g, h)
 
 
 def test_canonical_key_is_invariant_on_every_sweep_class(sweep7):
@@ -135,25 +134,21 @@ def test_sweep_classes_are_pairwise_non_isomorphic_by_networkx(sweep7):
             assert not nx.is_isomorphic(a, b)
 
 
-def test_is_isomorphic_separates_equal_degree_sequences():
+def test_canonical_key_separates_non_isomorphic_graphs():
+    def key(text):
+        return canonical_key(gen_family(parse_family_spec(text)))
+
     # both are two cycles sharing a vertex: same degree sequence and size,
     # but the cycle lengths differ
     a = gen_family(parse_family_spec("G(2,4)"))
     b = gen_family(parse_family_spec("G(3,3)"))
     assert sorted(a.degrees()) == sorted(b.degrees())
     assert a.edge_count == b.edge_count
-    assert not is_isomorphic(a, b)
-
-
-def test_is_isomorphic_quick_rejects():
-    triangle = gen_family(parse_family_spec("C(3)"))
-    square = gen_family(parse_family_spec("C(4)"))
-    assert not is_isomorphic(triangle, square)
+    assert canonical_key(a) != canonical_key(b)
+    # different sizes
+    assert key("C(3)") != key("C(4)")
     # same size and degree sequence, different loop multiset
-    assert not is_isomorphic(
-        gen_family(parse_family_spec("H(1,1,1)")),
-        gen_family(parse_family_spec("Gp(2,2,1)")),
-    )
+    assert key("H(1,1,1)") != key("Gp(2,2,1)")
 
 
 def test_min_degree_one_widens_the_sweep():

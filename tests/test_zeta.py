@@ -53,81 +53,87 @@ TRIPLE_EDGE = build_multigraph([(0, 1), (0, 1), (0, 1)], 2)
 
 # --- oriented line graph ---
 
-def _in_degree(olg, i):
-    return sum(i in row for row in olg.out)
+def arcs(origin, terminus):
+    """out[i]: the j with an arc i -> j, ascending, by the arc rule
+    j != i ^ 1 and terminus[j] == origin[i]."""
+    return [
+        [j for j in range(len(origin)) if j != i ^ 1 and terminus[j] == v]
+        for i, v in enumerate(origin)
+    ]
+
+
+def in_degrees(out):
+    into = [0] * len(out)
+    for row in out:
+        for j in row:
+            into[j] += 1
+    return into
 
 
 def test_line_graph_size_and_inverse_involution():
     for g in (cycle(3), TRIPLE_EDGE, two_cycles_joined(1, 3), complete(4)):
-        olg = oriented_line_graph(g)
-        assert olg.n == 2 * g.edge_count
-        assert len(olg.out) == olg.n
+        origin, terminus = oriented_line_graph(g)
+        n = 2 * g.edge_count
+        assert len(origin) == len(terminus) == n
+        out = arcs(origin, terminus)
         edges = g.edge_list()
-        for i in range(olg.n):
+        for i in range(n):
             j = i ^ 1
             assert j != i
             assert j ^ 1 == i
             # parent edge i >> 1, orientation i & 1, inverse i ^ 1
-            assert (olg.origin[i], olg.terminus[i]) == (
+            assert (origin[i], terminus[i]) == (
                 edges[i >> 1] if i & 1 == 0 else edges[i >> 1][::-1]
             )
-            assert olg.origin[j] == olg.terminus[i]
-            assert olg.terminus[j] == olg.origin[i]
+            assert origin[j] == terminus[i]
+            assert terminus[j] == origin[i]
             # no backtracking in either recording direction
-            assert j not in olg.out[i] and i not in olg.out[j]
+            assert j not in out[i] and i not in out[j]
 
 
 def test_line_graph_degrees_follow_endpoint_degrees():
-    for g in (cycle(4), TRIPLE_EDGE, two_cycles_joined(3, 4), complete(4)):
-        olg = oriented_line_graph(g)
-        for i in range(olg.n):
-            assert len(olg.out[i]) == g.degree(olg.origin[i]) - 1
-            assert _in_degree(olg, i) == g.degree(olg.terminus[i]) - 1
+    # on every class of the 6-edge sweep (loops and parallel edges
+    # included), and on two cycles sharing a vertex of degree 4
+    for g in (*connected_multigraphs(6), two_cycles_joined(3, 4)):
+        origin, terminus = oriented_line_graph(g)
+        out = arcs(origin, terminus)
+        into = in_degrees(out)
+        for i in range(len(origin)):
+            assert len(out[i]) == g.degree(origin[i]) - 1
+            assert into[i] == g.degree(terminus[i]) - 1
 
 
 def test_line_graph_degree_signature_of_joined_cycles():
     # cycles of lengths 3 and 4 sharing one vertex of degree 4
-    olg = oriented_line_graph(two_cycles_joined(3, 4))
-    assert olg.n == 14
+    out = arcs(*oriented_line_graph(two_cycles_joined(3, 4)))
+    assert len(out) == 14
     sig = {}
-    for i in range(olg.n):
-        key = (len(olg.out[i]), _in_degree(olg, i))
+    for row, d_in in zip(out, in_degrees(out)):
+        key = (len(row), d_in)
         sig[key] = sig.get(key, 0) + 1
     assert sig == {(3, 1): 4, (1, 3): 4, (1, 1): 6}
 
 
-def test_line_graph_out_lists_match_the_definition():
-    # out[i] = {j : j != i ^ 1, terminus[j] = origin[i]}, ascending, on
-    # every class of the 6-edge sweep (loops and parallel edges included)
-    for g in connected_multigraphs(6):
-        olg = oriented_line_graph(g)
-        for i in range(olg.n):
-            assert olg.out[i] == tuple(
-                j for j in range(olg.n)
-                if j != i ^ 1 and olg.terminus[j] == olg.origin[i]
-            )
-
-
 def test_loop_gives_two_self_arcs():
-    olg = oriented_line_graph(build_multigraph([(0, 0)], 1))
-    assert olg.n == 2
-    assert olg.out == ((0,), (1,))
+    origin, terminus = oriented_line_graph(build_multigraph([(0, 0)], 1))
+    assert (origin, terminus) == ((0, 0), (0, 0))
+    assert arcs(origin, terminus) == [[0], [1]]
 
 
 def test_bigon_line_graph_cycles():
     # two parallel edges: leaving by one copy and returning by the other is
     # a legal closed walk, so the line digraph has two disjoint 2-cycles
     olg = oriented_line_graph(build_multigraph([(0, 1), (0, 1)], 2))
-    cycles = sorted(enumerate_directed_cycles(olg))
+    cycles = sorted(enumerate_directed_cycles(*olg))
     assert cycles == [(0b0110, 2), (0b1001, 2)]
-    assert linear_subgraph_census(olg) == {(2, 1): 2, (4, 2): 1}
+    assert linear_subgraph_census(*olg) == {(2, 1): 2, (4, 2): 1}
 
 
 def test_arc_matrix_transpose_gives_same_determinant():
     g = two_cycles_joined(3, 4)
-    olg = oriented_line_graph(g)
-    transpose = [[int(i in olg.out[j]) for j in range(olg.n)]
-                 for i in range(olg.n)]
+    out = arcs(*oriented_line_graph(g))
+    transpose = [[int(i in out[j]) for j in range(len(out))]
+                 for i in range(len(out))]
     assert reversed_charpoly(transpose) == zeta_line_det(g)
 
 
@@ -204,8 +210,8 @@ def test_wrong_degree_fails_the_output_check(monkeypatch, engine):
 def test_wrong_constant_term_fails_the_output_check(monkeypatch):
     real = zeta._packing_coefficients
 
-    def constant_two(olg):
-        return [2] + real(olg)[1:]
+    def constant_two(origin, terminus):
+        return [2] + real(origin, terminus)[1:]
 
     monkeypatch.setattr(zeta, "_packing_coefficients", constant_two)
     with pytest.raises(ConsistencyError, match="constant term 2"):
@@ -225,7 +231,7 @@ def test_engines_validate_input():
 # --- enumeration engine internals ---
 
 def test_triangle_line_graph_census():
-    census = linear_subgraph_census(oriented_line_graph(cycle(3)))
+    census = linear_subgraph_census(*oriented_line_graph(cycle(3)))
     assert census == {(3, 1): 2, (6, 2): 1}
     assert census_coefficient(census, 3) == -2
     assert census_coefficient(census, 6) == 1
@@ -236,7 +242,7 @@ def test_census_reproduces_enum_coefficients(sweep7):
     for g in sweep7:
         if g.edge_count > 4:
             continue
-        census = linear_subgraph_census(oriented_line_graph(g))
+        census = linear_subgraph_census(*oriented_line_graph(g))
         poly = zeta_enum(g)
         for k in range(1, 2 * g.edge_count + 1):
             assert census_coefficient(census, k) == poly.coeff(k)
