@@ -114,6 +114,20 @@ def test_line_graph_degree_signature_of_joined_cycles():
     assert sig == {(3, 1): 4, (1, 3): 4, (1, 1): 6}
 
 
+def test_line_graph_out_lists_match_the_definition():
+    # the arc rule on the two columns gives, on every class of the 6-edge
+    # sweep (loops and parallel edges included), the out lists read off the
+    # edge list: i runs along edge i >> 1 in orientation i & 1, and i -> j
+    # when j is not i reversed and j ends where i starts
+    for g in connected_multigraphs(6):
+        ends = [d for e in g.edge_list() for d in (e, e[::-1])]
+        expected = [
+            [j for j, (_, w) in enumerate(ends) if j != i ^ 1 and w == u]
+            for i, (u, _) in enumerate(ends)
+        ]
+        assert arcs(*oriented_line_graph(g)) == expected
+
+
 def test_loop_gives_two_self_arcs():
     origin, terminus = oriented_line_graph(build_multigraph([(0, 0)], 1))
     assert (origin, terminus) == ((0, 0), (0, 0))
