@@ -23,14 +23,15 @@ from .errors import (
     ConsistencyError,
     GraphValidationError,
     InputError,
-    ParameterError,
     SizeCapError,
     VerificationError,
 )
 from .families import (
+    FAMILIES,
     closed_form,
     gen_family,
     parse_family_spec,
+    tree_count_closed_form,
     verify_family,
 )
 from .intpoly import IntPoly, format_poly
@@ -43,7 +44,7 @@ from .multigraph import (
 )
 from .ranktwo import completeness_check
 from .smallgraphs import connected_multigraphs
-from .trees import tree_count_closed_form, tree_count_from_zeta
+from .trees import tree_count_from_zeta
 from .zeta import (
     DEFAULT_ENUM_CAP,
     poly_invariants,
@@ -167,11 +168,8 @@ def _cmd_trees(args) -> int:
     else:
         g = _load_graph(args.graph)
     methods = []
-    if spec is not None:
-        try:
-            methods.append(("closed-form", tree_count_closed_form(spec)))
-        except ParameterError:
-            pass  # family without a published formula; other methods carry on
+    if spec is not None and FAMILIES[spec.tag].tree_count is not None:
+        methods.append(("closed-form", tree_count_closed_form(spec)))
     if g.rank >= 2:
         kappa = tree_count_from_zeta(zeta_bass(g), g.rank)
         methods.append(("zeta-derivative", kappa))

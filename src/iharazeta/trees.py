@@ -1,19 +1,19 @@
-"""Spanning-tree counts from the zeta derivative and from closed forms.
+"""Spanning-tree counts from the zeta derivative.
 
-The third method, Kirchhoff's cofactor, is multigraph.kirchhoff_tree_count.
-The zeta route reads the count out of the r-th derivative of the
-reciprocal zeta polynomial at u = 1, where r is the cycle rank. The
-division it performs must come out exact; that exactness doubles as an
-end-to-end check that the polynomial and the rank belong to the same
-graph.
+The other two methods live beside the data they need: Kirchhoff's
+cofactor is multigraph.kirchhoff_tree_count, and the per-family closed
+forms are families.tree_count_closed_form. The zeta route reads the
+count out of the r-th derivative of the reciprocal zeta polynomial at
+u = 1, where r is the cycle rank. The division it performs must come out
+exact; that exactness doubles as an end-to-end check that the polynomial
+and the rank belong to the same graph.
 """
 
 from __future__ import annotations
 
 from math import factorial
 
-from .errors import DegenerateRankError, ParameterError, VerificationError
-from .families import FamilySpec, check_domain
+from .errors import DegenerateRankError, VerificationError
 from .intpoly import IntPoly
 
 
@@ -40,48 +40,3 @@ def tree_count_from_zeta(poly: IntPoly, r: int) -> int:
         )
     return kappa
 
-
-# Families with a published closed-form count, as functions of the
-# FamilySpec parameters. CocktailParty/MatchingDeleted params are the
-# order 2n; the formulas below are written in n.
-def _kappa_cocktail_party(order):
-    n = order // 2
-    return 4 ** (n - 1) * n ** (n - 2) * (n - 1) ** n
-
-
-def _kappa_matching_deleted(order):
-    n = order // 2
-    return n ** (n - 2) * (n - 2) ** (n - 1) * (n - 1)
-
-
-def _kappa_mobius_ladder(n):
-    # (m/2)(L_m + 2) with m = n/2, L_0 = 2, L_1 = 4, L_k = 4L_(k-1) - L_(k-2);
-    # every L_k is even, so the halving is exact
-    m = n // 2
-    prev, cur = 2, 4
-    for _ in range(m - 1):
-        prev, cur = cur, 4 * cur - prev
-    return m * ((cur + 2) // 2)
-
-
-_CLOSED_FORMS = {
-    "Complete": lambda n: n ** (n - 2),
-    "CompleteBipartite": lambda m, n: m ** (n - 1) * n ** (m - 1),
-    "CocktailParty": _kappa_cocktail_party,
-    "MatchingDeleted": _kappa_matching_deleted,
-    "MobiusLadder": _kappa_mobius_ladder,
-    "DoubleCycle": lambda m, n: m * n,
-    "SharedPath": lambda m, n, p: m * n - p * p,
-    "Handcuff": lambda m, n, l: m * n,
-}
-
-
-def tree_count_closed_form(spec: FamilySpec) -> int:
-    """Closed-form spanning-tree count for the families that have one."""
-    check_domain(spec)
-    formula = _CLOSED_FORMS.get(spec.tag)
-    if formula is None:
-        raise ParameterError(
-            f"no closed-form tree count for family {spec.tag}"
-        )
-    return formula(*spec.params)

@@ -8,7 +8,12 @@ summary hook in conftest.py condenses the outcome into one PASS/FAIL
 line per criterion.
 """
 
-from iharazeta.families import closed_form, family_spec, gen_family
+from iharazeta.families import (
+    closed_form,
+    family_spec,
+    gen_family,
+    tree_count_closed_form,
+)
 from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import (
     build_multigraph,
@@ -17,7 +22,7 @@ from iharazeta.multigraph import (
 )
 from iharazeta.ranktwo import completeness_check, enumerate_rank2
 from iharazeta.smallgraphs import _table_classes, canonical_key
-from iharazeta.trees import tree_count_closed_form, tree_count_from_zeta
+from iharazeta.trees import tree_count_from_zeta
 from iharazeta.zeta import (
     census_coefficient,
     linear_subgraph_census,

@@ -13,6 +13,7 @@ from iharazeta.errors import (
     VerificationError,
 )
 from iharazeta.families import (
+    FAMILIES,
     FAMILY_TAGS,
     NAMED_SMALL,
     FamilySpec,
@@ -85,8 +86,15 @@ def test_domain_rejections():
 def test_domain_arity_and_types():
     with pytest.raises(ParameterError, match="parameter"):
         check_domain(family_spec("Complete"))
+    for tag, family in FAMILIES.items():
+        n = family.arity
+        with pytest.raises(ParameterError,
+                           match=rf"^{tag} takes {n} parameter\(s\), got {n + 1}$"):
+            check_domain(FamilySpec(tag, (3,) * (n + 1)))
     with pytest.raises(ParameterError, match="integer"):
         check_domain(family_spec("Cycle", "5"))
+    with pytest.raises(InputError, match="unknown family tag 'Nope'"):
+        check_domain(FamilySpec("Nope", (1,)))
 
 
 # --- generated structure ---
@@ -155,6 +163,16 @@ SPOT_SPECS = [
 def test_every_tag_is_spot_checked():
     covered = {parse_family_spec(t).tag for t in SPOT_SPECS}
     assert covered == set(FAMILY_TAGS)
+
+
+def test_spec_strings_round_trip():
+    for text in SPOT_SPECS:
+        spec = parse_family_spec(text)
+        check_domain(spec)
+        assert str(spec) == text
+        assert parse_family_spec(str(spec)) == spec
+    # a tag outside the registry still prints as written
+    assert str(FamilySpec("Nope", (1,))) == "Nope(1)"
 
 
 def test_closed_forms_match_engine():

@@ -1,9 +1,9 @@
 """README claims checked against the code.
 
 The Library example runs and prints what its trailing comments say,
-importing the package alone loads none of its modules, and every
-command-line transcript that shows output replays through cli.run with
-the same stdout.
+the family short names listed are the registry's, importing the package
+alone loads none of its modules, and every command-line transcript that
+shows output replays through cli.run with the same stdout.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import iharazeta
 from iharazeta.cli import run
+from iharazeta.families import FAMILIES
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -51,6 +52,13 @@ def test_library_example_prints_what_its_comments_say(capsys):
             assert out.startswith(claim.split("...")[0].rstrip()), claim
         else:
             assert out == claim
+
+
+def test_family_short_names_match_the_registry():
+    para = README.split("Family specs use short names:", 1)[1]
+    listed = para.split("\n\n", 1)[0].split("Long tag names", 1)[0]
+    shorts = re.findall(r"`(\w+)\(", listed)
+    assert sorted(shorts) == sorted(f.short for f in FAMILIES.values() if f.short)
 
 
 def test_importing_the_package_loads_no_module():

@@ -9,9 +9,14 @@ from iharazeta.errors import (
     ParameterError,
     VerificationError,
 )
-from iharazeta.families import family_spec, gen_family, parse_family_spec
+from iharazeta.families import (
+    family_spec,
+    gen_family,
+    parse_family_spec,
+    tree_count_closed_form,
+)
 from iharazeta.multigraph import kirchhoff_tree_count
-from iharazeta.trees import tree_count_closed_form, tree_count_from_zeta
+from iharazeta.trees import tree_count_from_zeta
 from iharazeta.zeta import zeta_bass
 
 
