@@ -196,7 +196,7 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_rank2(args) -> int:
-    checked = completeness_check(args.max_edges)  # collision raises -> exit 1
+    checked = completeness_check(args.max_edges)  # bad decode raises: exit 1
     rows = [
         {
             "spec": str(r.spec),

@@ -43,10 +43,10 @@ class FamilySpec:
     params: tuple
 
     def __str__(self):
-        if self.tag == "NamedSmall":
+        if self.tag == "NamedSmall" and len(self.params) == 1:
             return str(self.params[0])
         family = FAMILIES.get(self.tag)
-        short = family.short if family else self.tag
+        short = family.short if family and family.short else self.tag
         return f"{short}({','.join(str(p) for p in self.params)})"
 
 

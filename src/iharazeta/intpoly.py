@@ -2,8 +2,8 @@
 
 Every zeta reciprocal in this package is an IntPoly. Coefficients are plain
 Python ints, index = power of u, so all arithmetic is exact by construction.
-The class is immutable and hashable; polynomials can be dict keys, which the
-rank-two collision check relies on.
+The class is immutable and hashable, so polynomials can be set members and
+dict keys.
 """
 
 from __future__ import annotations

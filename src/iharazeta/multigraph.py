@@ -13,7 +13,6 @@ dictionary key.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import GraphValidationError, InputError
 from .polydet import bareiss_int_det
@@ -184,32 +183,7 @@ def format_edge_list(g: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- structural report ---
-
-@dataclass(frozen=True)
-class StructuralReport:
-    connected: bool
-    min_degree: int
-    rank: int
-    girth: int | None  # None means acyclic
-    bipartite: bool
-
-
-def structural_report(g: Multigraph) -> StructuralReport:
-    """Connectivity, min degree, cycle rank, generalized girth, bipartiteness.
-
-    Girth is 1 iff some loop exists, 2 iff loop-free with a parallel pair,
-    else the shortest simple cycle length (None when acyclic). Bipartite
-    means no odd closed walk: any loop kills it, parallel edges do not.
-    """
-    return StructuralReport(
-        connected=table_is_connected(g.mult),
-        min_degree=min(g.degrees()),
-        rank=g.rank,
-        girth=_girth(g),
-        bipartite=_is_bipartite(g),
-    )
-
+# --- structural invariants ---
 
 def validate_zeta_input(g: Multigraph) -> None:
     """Enforce the standing hypotheses: connected with min degree >= 2."""
@@ -239,7 +213,10 @@ def table_is_connected(mult) -> bool:
     return count == n
 
 
-def _girth(g: Multigraph) -> int | None:
+def girth(g: Multigraph) -> int | None:
+    """Generalized girth: 1 iff some loop exists, 2 iff loop-free with a
+    parallel pair, else the shortest simple cycle length; None if acyclic.
+    """
     if any(g.loops):
         return 1
     if any(g.mult[i][j] >= 2 for i in range(g.n) for j in range(i + 1, g.n)):
@@ -267,7 +244,8 @@ def _girth(g: Multigraph) -> int | None:
     return best
 
 
-def _is_bipartite(g: Multigraph) -> bool:
+def is_bipartite(g: Multigraph) -> bool:
+    """No odd closed walk: any loop rules it out, parallel edges do not."""
     if any(g.loops):
         return False
     color = {}

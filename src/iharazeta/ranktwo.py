@@ -1,16 +1,18 @@
-"""Rank-two multigraphs: canonical forms, enumeration, distinctness check.
+"""Rank-two multigraphs: enumeration, and the spec read off the zeta.
 
 A connected multigraph of minimum degree two whose cycle rank is two is
 one of exactly three shapes: two cycles sharing a single vertex, two
 cycles sharing a path, or two cycles joined by a path. Each shape is a
 family tag (DoubleCycle, SharedPath, Handcuff), so enumeration is a walk
 over parameter tuples, with a brute-force audit at small sizes to
-certify nothing was missed.
+certify nothing was missed. A spec is canonical when m <= n, and for
+SharedPath when its three internal paths run p <= m - p <= n - p.
 
-completeness_check computes the reciprocal zeta polynomial of every
-canonical spec up to an edge budget and asserts they are pairwise
-distinct; its rows carry the polynomial and the tree count, so a
-hypothetical collision would be diagnosable.
+decode_rank2 inverts the three closed forms: it reads the canonical spec
+back off a reciprocal zeta polynomial, so the zeta function determines a
+rank-two graph at every size the closed forms hold. completeness_check
+decodes the engine output of every canonical spec up to an edge budget;
+its rows carry the polynomial and the tree count.
 """
 
 from __future__ import annotations
@@ -18,35 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError, VerificationError
-from .families import FamilySpec, check_domain, gen_family
+from .families import FamilySpec, gen_family
 from .intpoly import IntPoly
 from .multigraph import kirchhoff_tree_count
 from .zeta import zeta_bass
 
 RANK_TWO_TAGS = ("DoubleCycle", "SharedPath", "Handcuff")
-
-
-def canonicalize(spec: FamilySpec) -> FamilySpec:
-    """The unique canonical representative of spec's isomorphism class.
-
-    Parameters come back in normal form: m <= n for DoubleCycle and
-    Handcuff; internal path lengths sorted so that 0 < 2p <= m <= n for
-    SharedPath.
-    """
-    if spec.tag not in RANK_TWO_TAGS:
-        raise ParameterError(f"{spec.tag!r} is not a rank-two shape")
-    check_domain(spec)
-    if spec.tag == "DoubleCycle":
-        m, n = spec.params
-        return FamilySpec(spec.tag, (min(m, n), max(m, n)))
-    if spec.tag == "Handcuff":
-        m, n, l = spec.params
-        return FamilySpec(spec.tag, (min(m, n), max(m, n), l))
-    m, n, p = spec.params
-    # The graph is three internally disjoint paths between the branch
-    # vertices; only the multiset of their lengths matters.
-    s1, s2, s3 = sorted((p, m - p, n - p))
-    return FamilySpec(spec.tag, (s1 + s2, s1 + s3, s1))
 
 
 def enumerate_rank2(max_edges: int) -> list[FamilySpec]:
@@ -74,6 +53,47 @@ def enumerate_rank2(max_edges: int) -> list[FamilySpec]:
             for _, shape, params in keyed]
 
 
+def decode_rank2(poly: IntPoly) -> FamilySpec | None:
+    """The canonical rank-two spec whose reciprocal zeta polynomial is
+    poly, or None when poly cannot be one.
+
+    A connected graph of minimum degree two and rank r has leading
+    coefficient (-1)^(r-1) * prod(d - 1) over its vertex degrees d, where
+    sum(d - 2) = 2(r - 1). As prod(1 + (d - 2)) >= 1 + sum(d - 2) = 2r - 1,
+    it is 1 at rank one and at least 5 in size above rank two. At rank
+    two it is -3 (one vertex of degree 4: DoubleCycle) or -4 (two of
+    degree 3: SharedPath, Handcuff). Let E be half the degree and m the
+    first power after u^0 with a nonzero coefficient. Term by term:
+
+    - DoubleCycle(m, n): the powers are 0, m, n, 2m, 2n, 2m+n, m+2n and
+      2E = 2(m + n), so m is the smallest and n = E - m.
+    - Handcuff(m, n, l): the powers are 0, m, n, 2m, then m + n and up.
+      c_m is -2, or -4 when m = n. Below n only u^(2m) (+1) can sit, and
+      c_n is -2, or -1 when n = 2m, so n is the next negative power.
+      Then l = E - m - n >= 1.
+    - SharedPath(m, n, p) with internal paths p <= s <= t, m = p + s,
+      n = p + t: the negative powers are m, n, s + t >= n and 2E, with
+      E = m + n - p. c_m is -2, or -4 when m = n < s + t, or -6 when
+      p = s = t. Below n only u^(2m) (+1) is positive, and c_n is at most
+      -1, so n is the next negative power. Then p = m + n - E >= 1.
+
+    So every canonical spec decodes to itself: the decoder is a left
+    inverse of the closed forms, and no two specs share a polynomial.
+    """
+    half, m = poly.degree // 2, poly.first_nonzero_power(start=1)
+    if m is None or poly.leading_coeff not in (-3, -4):
+        return None
+    if poly.leading_coeff == -3:
+        return FamilySpec("DoubleCycle", (m, half - m))
+    n = m if poly.coeff(m) in (-4, -6) else next(
+        (k for k in range(m + 1, poly.degree) if poly.coeff(k) < 0), None)
+    if n is None:
+        return None
+    if m + n < half:
+        return FamilySpec("Handcuff", (m, n, half - m - n))
+    return FamilySpec("SharedPath", (m, n, m + n - half))
+
+
 @dataclass(frozen=True)
 class RankTwoRow:
     spec: FamilySpec
@@ -83,26 +103,24 @@ class RankTwoRow:
 
 
 def completeness_check(max_edges: int) -> tuple[RankTwoRow, ...]:
-    """Verify pairwise-distinct zeta polynomials across all canonical
-    rank-two specs up to max_edges edges.
+    """Decode the Bass polynomial of every canonical rank-two spec up to
+    max_edges edges back to that spec.
 
-    A collision raises VerificationError naming both specs. Each row
-    carries the spec's polynomial, from which the leading coefficient and
-    the girth readout are read, and its Kirchhoff tree count: the
-    invariants that drive the distinctness argument.
+    A spec that decodes to anything else raises VerificationError naming
+    both. Since the decoder is a function, success also shows the
+    polynomials pairwise distinct. Each row carries the spec's
+    polynomial and its Kirchhoff tree count.
     """
     rows = []
-    seen: dict[IntPoly, FamilySpec] = {}
     for spec in enumerate_rank2(max_edges):
         g = gen_family(spec)
         poly = zeta_bass(g)
-        other = seen.get(poly)
-        if other is not None:
+        decoded = decode_rank2(poly)
+        if decoded != spec:
             raise VerificationError(
-                f"zeta collision between rank-two specs {other} and "
-                f"{spec}: non-isomorphic graphs share a polynomial"
+                f"the zeta polynomial of rank-two spec {spec} decodes to "
+                f"{decoded}"
             )
-        seen[poly] = spec
         rows.append(RankTwoRow(
             spec=spec,
             edge_count=g.edge_count,

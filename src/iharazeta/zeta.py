@@ -33,8 +33,9 @@ from .errors import ConsistencyError, SizeCapError, VerificationError
 from .intpoly import IntPoly
 from .multigraph import (
     Multigraph,
+    girth,
+    is_bipartite,
     matrices,
-    structural_report,
     validate_zeta_input,
 )
 from .polydet import bareiss_int_det, reversed_charpoly
@@ -281,7 +282,6 @@ def poly_invariants(poly: IntPoly, g: Multigraph) -> None:
     failed check.
     """
     e = g.edge_count
-    report = structural_report(g)
     expected_leading = (-1) ** (e - g.n) * prod(d - 1 for d in g.degrees())
     if poly.degree != 2 * e:
         raise VerificationError(
@@ -292,14 +292,15 @@ def poly_invariants(poly: IntPoly, g: Multigraph) -> None:
             "leading-coefficient check failed: "
             f"{poly.leading_coeff} != {expected_leading}"
         )
-    readout = poly.first_nonzero_power(start=1)
-    if report.girth is None or readout != report.girth:
+    readout, structural = poly.first_nonzero_power(start=1), girth(g)
+    if structural is None or readout != structural:
         raise VerificationError(
             f"girth readout check failed: first nonzero power {readout}, "
-            f"structural girth {report.girth}"
+            f"structural girth {structural}"
         )
-    if poly.is_even() != report.bipartite:
+    bipartite = is_bipartite(g)
+    if poly.is_even() != bipartite:
         raise VerificationError(
             f"evenness check failed: even={poly.is_even()}, "
-            f"bipartite={report.bipartite}"
+            f"bipartite={bipartite}"
         )

@@ -17,8 +17,8 @@ from iharazeta.families import (
 from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import (
     build_multigraph,
+    is_bipartite,
     kirchhoff_tree_count,
-    structural_report,
 )
 from iharazeta.ranktwo import completeness_check, enumerate_rank2
 from iharazeta.smallgraphs import _table_classes, canonical_key
@@ -300,7 +300,7 @@ def test_criterion_4_mobius_ladder_exact():
 def test_criterion_5_even_iff_bipartite(sweep7, sweep7_bass):
     n_bipartite = n_other = 0
     for g, poly in zip(sweep7, sweep7_bass):
-        if structural_report(g).bipartite:
+        if is_bipartite(g):
             assert poly.is_even(), g
             n_bipartite += 1
         else:
@@ -323,7 +323,7 @@ def test_criterion_6_leading_and_girth_identities(sweep7, sweep7_bass):
 
 
 def test_criterion_7_rank_two_distinct_and_exhaustive(sweep7):
-    rows = completeness_check(12)  # raises on a polynomial collision
+    rows = completeness_check(12)  # raises unless every spec decodes back
     assert len(rows) == 214
     polys = [row.poly for row in rows]
     assert len(set(polys)) == len(polys)

@@ -25,7 +25,7 @@ from iharazeta.families import (
     verify_family,
 )
 from iharazeta.intpoly import IntPoly
-from iharazeta.multigraph import structural_report, validate_zeta_input
+from iharazeta.multigraph import is_bipartite, validate_zeta_input
 from iharazeta.smallgraphs import canonical_key
 from iharazeta.zeta import zeta_bass
 
@@ -175,6 +175,18 @@ def test_spec_strings_round_trip():
     assert str(FamilySpec("Nope", (1,))) == "Nope(1)"
 
 
+def test_wrong_arity_specs_print_and_are_rejected():
+    for tag, family in FAMILIES.items():
+        n = family.arity
+        for params in ((), (3,) * (n + 1)):
+            spec = FamilySpec(tag, params)
+            body = ",".join(str(p) for p in params)
+            assert str(spec) == f"{family.short or tag}({body})"
+            with pytest.raises(ParameterError, match=rf"^{tag} takes {n} "
+                               rf"parameter\(s\), got {len(params)}$"):
+                check_domain(spec)
+
+
 def test_closed_forms_match_engine():
     for text in SPOT_SPECS:
         verify_family(parse_family_spec(text))  # raises on a mismatch
@@ -228,20 +240,20 @@ def test_even_closed_form_tracks_bipartiteness():
             spec = family_spec("DoubleCycle", m, n)
             even = closed_form(spec).is_even()
             assert even == (m % 2 == 0 and n % 2 == 0)
-            assert even == structural_report(gen_family(spec)).bipartite
+            assert even == is_bipartite(gen_family(spec))
     for l in (1, 2, 3):
         for m in range(1, 4):
             for n in range(m, 4):
                 spec = family_spec("Handcuff", m, n, l)
                 even = closed_form(spec).is_even()
                 assert even == (m % 2 == 0 and n % 2 == 0)
-                assert even == structural_report(gen_family(spec)).bipartite
+                assert even == is_bipartite(gen_family(spec))
     for m in range(2, 6):
         for n in range(m, 6):
             for p in range(1, m):
                 spec = family_spec("SharedPath", m, n, p)
                 even = closed_form(spec).is_even()
-                assert even == structural_report(gen_family(spec)).bipartite
+                assert even == is_bipartite(gen_family(spec))
 
 
 # --- verifier failure paths ---

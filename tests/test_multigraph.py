@@ -10,14 +10,15 @@ import pytest
 from iharazeta.errors import GraphValidationError, InputError
 from iharazeta.multigraph import (
     Multigraph,
-    StructuralReport,
     build_multigraph,
     format_edge_list,
+    girth,
+    is_bipartite,
     kirchhoff_tree_count,
     matrices,
     parse_edge_list,
     parse_edge_list_text,
-    structural_report,
+    table_is_connected,
     validate_zeta_input,
 )
 
@@ -158,24 +159,27 @@ def test_format_round_trip():
     assert parse_edge_list_text(format_edge_list(g)) == g
 
 
-# --- structural report ---
+# --- structural invariants ---
 
 def test_report_on_a_cycle():
-    assert structural_report(cycle(4)) == StructuralReport(
-        connected=True, min_degree=2, rank=1, girth=4, bipartite=True
-    )
+    g = cycle(4)
+    assert table_is_connected(g.mult)
+    assert min(g.degrees()) == 2
+    assert g.rank == 1
+    assert girth(g) == 4
+    assert is_bipartite(g)
 
 
 def test_girth_rules():
-    assert structural_report(build_multigraph([(0, 0)], 1)).girth == 1
-    assert structural_report(build_multigraph([(0, 1), (0, 1)], 2)).girth == 2
-    assert structural_report(cycle(3)).girth == 3
+    assert girth(build_multigraph([(0, 0)], 1)) == 1
+    assert girth(build_multigraph([(0, 1), (0, 1)], 2)) == 2
+    assert girth(cycle(3)) == 3
     # a loop wins over any longer cycle
     g = build_multigraph([(0, 0), (0, 1), (1, 2), (2, 0)], 3)
-    assert structural_report(g).girth == 1
+    assert girth(g) == 1
     # trees are acyclic
     path = build_multigraph([(0, 1), (1, 2)], 3)
-    assert structural_report(path).girth is None
+    assert girth(path) is None
 
 
 def test_girth_finds_shortest_cycle_not_first():
@@ -183,7 +187,7 @@ def test_girth_finds_shortest_cycle_not_first():
     g = build_multigraph(
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)], 6
     )
-    assert structural_report(g).girth == 4
+    assert girth(g) == 4
 
 
 def test_girth_matches_networkx_on_random_simple_graphs():
@@ -196,22 +200,22 @@ def test_girth_matches_networkx_on_random_simple_graphs():
         h = nx.Graph(edges)
         h.add_nodes_from(range(n))
         want = nx.girth(h)
-        got = structural_report(build_multigraph(edges, n)).girth
+        got = girth(build_multigraph(edges, n))
         assert got == (None if want == float("inf") else want), edges
 
 
 def test_bipartite_rules():
-    assert structural_report(cycle(4)).bipartite
-    assert not structural_report(cycle(5)).bipartite
+    assert is_bipartite(cycle(4))
+    assert not is_bipartite(cycle(5))
     # parallel edges keep bipartiteness, loops kill it
-    assert structural_report(build_multigraph([(0, 1), (0, 1)], 2)).bipartite
+    assert is_bipartite(build_multigraph([(0, 1), (0, 1)], 2))
     g = build_multigraph([(0, 0), (0, 1), (0, 1)], 2)
-    assert not structural_report(g).bipartite
+    assert not is_bipartite(g)
 
 
 def test_disconnected_is_reported():
     g = build_multigraph([(0, 1), (2, 3)], 4)
-    assert not structural_report(g).connected
+    assert not table_is_connected(g.mult)
 
 
 def test_validate_zeta_input():

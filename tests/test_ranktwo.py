@@ -1,4 +1,4 @@
-"""Tests for rank-two canonical forms, enumeration, and distinctness."""
+"""Tests for rank-two enumeration, decoding, and distinctness."""
 
 from __future__ import annotations
 
@@ -6,26 +6,31 @@ import pytest
 
 from iharazeta import ranktwo
 from iharazeta.errors import ParameterError, VerificationError
-from iharazeta.families import FamilySpec, family_spec, gen_family
-from iharazeta.multigraph import kirchhoff_tree_count
+from iharazeta.families import FamilySpec, closed_form, family_spec, gen_family
+from iharazeta.multigraph import kirchhoff_tree_count, parse_edge_list_text
 from iharazeta.ranktwo import (
     RANK_TWO_TAGS,
-    canonicalize,
     completeness_check,
+    decode_rank2,
     enumerate_rank2,
 )
 from iharazeta.smallgraphs import canonical_key
 from iharazeta.zeta import zeta_bass
 
 
+def canonicalize(tag, *params):
+    """The canonical spec of a rank-two shape, read off its closed form."""
+    return decode_rank2(closed_form(family_spec(tag, *params)))
+
+
 # --- canonical forms ---
 
 def test_canonical_parameter_normalization():
-    assert canonicalize(family_spec("DoubleCycle", 4, 3)).params == (3, 4)
-    assert canonicalize(family_spec("Handcuff", 5, 2, 3)).params == (2, 5, 3)
+    assert canonicalize("DoubleCycle", 4, 3).params == (3, 4)
+    assert canonicalize("Handcuff", 5, 2, 3).params == (2, 5, 3)
     # three internal paths of lengths 3, 2, 1 sort to (1, 2, 3)
-    assert canonicalize(family_spec("SharedPath", 5, 4, 3)).params == (3, 4, 1)
-    spec = canonicalize(family_spec("Handcuff", 5, 2, 3))
+    assert canonicalize("SharedPath", 5, 4, 3).params == (3, 4, 1)
+    spec = canonicalize("Handcuff", 5, 2, 3)
     assert str(spec) == "H(2,5,3)"
     assert gen_family(spec).edge_count == 10
 
@@ -36,10 +41,9 @@ def test_canonicalize_is_idempotent():
         ("SharedPath", (6, 4, 2)),
         ("Handcuff", (2, 2, 4)),
     ]:
-        once = canonicalize(family_spec(shape, *params))
-        again = canonicalize(once)
+        once = canonicalize(shape, *params)
+        again = canonicalize(once.tag, *once.params)
         assert once == again
-        assert again == canonicalize(again)
 
 
 def test_canonical_form_is_isomorphic_to_the_original():
@@ -53,8 +57,8 @@ def test_canonical_form_is_isomorphic_to_the_original():
         ("Handcuff", (2, 2, 4)),
     ]
     for shape, params in cases:
-        spec = canonicalize(family_spec(shape, *params))
-        assert spec == canonicalize(spec)
+        spec = canonicalize(shape, *params)
+        assert spec == canonicalize(spec.tag, *spec.params)
         original = gen_family(FamilySpec(shape, params))
         canonical = gen_family(spec)
         assert canonical_key(original) == canonical_key(canonical)
@@ -62,15 +66,59 @@ def test_canonical_form_is_isomorphic_to_the_original():
 
 
 def test_canonicalize_rejections():
+    # bad parameters fail in closed_form, before any decoding
     with pytest.raises(ParameterError):
-        canonicalize(family_spec("Cycle", 5))
-    for spec in (FamilySpec("Cycle", (3,)), FamilySpec("Complete", (4,))):
-        with pytest.raises(ParameterError, match="not a rank-two shape"):
-            canonicalize(spec)
-    with pytest.raises(ParameterError):
-        canonicalize(family_spec("DoubleCycle", 0, 3))
+        canonicalize("DoubleCycle", 0, 3)
     with pytest.raises(ParameterError):
         enumerate_rank2(1)
+
+
+# --- decoding ---
+
+def test_decode_inverts_the_closed_forms():
+    specs = enumerate_rank2(60)
+    assert len(specs) == 24590
+    for spec in specs:
+        assert decode_rank2(closed_form(spec)) == spec
+
+
+def test_decode_rejects_other_ranks():
+    for spec in (family_spec("Cycle", 3), family_spec("Cycle", 5),
+                 family_spec("Complete", 4), family_spec("Bouquet", 3)):
+        assert decode_rank2(closed_form(spec)) is None
+        assert decode_rank2(zeta_bass(gen_family(spec))) is None
+
+
+def test_decoder_with_swapped_branches_is_caught(monkeypatch):
+    swap = {"Handcuff": "SharedPath", "SharedPath": "Handcuff"}
+
+    def swapped(poly):
+        spec = decode_rank2(poly)
+        return FamilySpec(swap.get(spec.tag, spec.tag), spec.params)
+
+    monkeypatch.setattr(ranktwo, "decode_rank2", swapped)
+    with pytest.raises(VerificationError,
+                       match=r"Gp\(2,2,1\) decodes to H\(2,2,1\)"):
+        completeness_check(6)
+
+
+# The smallest known zeta collisions above rank two: a rank-3 pair with 12
+# edges and a rank-4 pair with 9 edges. Completeness stops at rank two.
+COLLISIONS = [
+    ("n 10\n2 2\n0 1\n0 3\n0 4\n0 5\n1 6\n1 9\n2 5\n3 4\n6 7\n7 8\n8 9\n",
+     "n 10\n1 1\n0 1\n0 3\n0 6\n0 7\n2 7\n2 8\n2 9\n3 4\n4 5\n5 6\n8 9\n"),
+    ("n 6\n0 0\n2 2\n0 3\n0 4\n1 3\n1 4\n1 5\n2 5\n3 4\n",
+     "n 6\n0 0\n3 3\n0 3\n0 4\n1 2\n1 4\n1 5\n2 4\n2 5\n"),
+]
+
+
+def test_known_collisions_above_rank_two():
+    for (a, b), rank in zip(COLLISIONS, (3, 4)):
+        ga, gb = parse_edge_list_text(a), parse_edge_list_text(b)
+        assert ga.rank == gb.rank == rank
+        assert zeta_bass(ga) == zeta_bass(gb)
+        assert canonical_key(ga) != canonical_key(gb)
+        assert decode_rank2(zeta_bass(ga)) is None
 
 
 # --- enumeration ---
@@ -90,7 +138,7 @@ def test_enumerated_specs_are_canonical_and_in_budget():
     assert len(specs) == len(set(specs))
     for spec in specs:
         assert spec.tag in RANK_TWO_TAGS
-        assert spec == canonicalize(spec)
+        assert decode_rank2(closed_form(spec)) == spec
         g = gen_family(spec)
         assert 2 <= g.edge_count <= 8
         assert g.rank == 2
@@ -125,14 +173,15 @@ def test_completeness_check_rows_are_reproducible():
 def test_collision_is_reported(monkeypatch):
     fixed = zeta_bass(gen_family(FamilySpec("DoubleCycle", (1, 1))))
     monkeypatch.setattr(ranktwo, "zeta_bass", lambda g: fixed)
-    with pytest.raises(VerificationError, match="collision"):
+    with pytest.raises(VerificationError, match=r"G\(1,2\) decodes to G\(1,1\)"):
         completeness_check(3)
 
 
 def test_equal_length_specs_with_different_shapes_stay_distinct():
     # same edge count and girth, different shapes
-    a = zeta_bass(gen_family(canonicalize(family_spec("DoubleCycle", 3, 5))))
-    b = zeta_bass(gen_family(canonicalize(family_spec("Handcuff", 3, 3, 2))))
+    a = zeta_bass(gen_family(family_spec("DoubleCycle", 3, 5)))
+    b = zeta_bass(gen_family(family_spec("Handcuff", 3, 3, 2)))
     assert a.degree == b.degree == 2 * 8
     assert a.first_nonzero_power(start=1) == b.first_nonzero_power(start=1) == 3
     assert a != b
+    assert str(decode_rank2(a)) == "G(3,5)" and str(decode_rank2(b)) == "H(3,3,2)"

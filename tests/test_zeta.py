@@ -12,7 +12,7 @@ from iharazeta.errors import (
 )
 from iharazeta.families import closed_form, family_spec, gen_family
 from iharazeta.intpoly import IntPoly
-from iharazeta.multigraph import build_multigraph, structural_report
+from iharazeta.multigraph import build_multigraph, is_bipartite
 from iharazeta import zeta
 from iharazeta.polydet import reversed_charpoly
 from iharazeta.smallgraphs import connected_multigraphs
@@ -303,7 +303,7 @@ def test_poly_invariants_pass_on_engine_output():
     poly_invariants(poly, TRIPLE_EDGE)  # raises on any mismatch
     assert poly.leading_coeff == -4
     assert poly.first_nonzero_power(start=1) == 2
-    assert poly.is_even() and structural_report(TRIPLE_EDGE).bipartite
+    assert poly.is_even() and is_bipartite(TRIPLE_EDGE)
 
 
 def test_poly_invariants_name_the_failed_check():
