@@ -6,33 +6,70 @@ from __future__ import annotations
 
 from functools import cache
 from math import prod
+from operator import mul
 
 from .intpoly import IntPoly
 
 
 def bareiss_int_det(matrix) -> int:
-    """Exact determinant of a square matrix of Python ints."""
+    """Exact determinant of a square matrix of Python ints.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) with lazy
+    row scaling. Step k divides by div[k], the pivot of step k - 1
+    (div[0] = 1), and maps row i > k to (row_i * pivot - m_ik * row_k) /
+    div[k]. A row whose multiplier m_ik is 0 would only be scaled by
+    pivot / div[k] = div[k + 1] / div[k]; it is left as it is and keeps
+    its stamp, the step s at which it was last exact. Those factors
+    telescope, so the row is brought up to step k by one scaling
+    x * div[k] // div[s] when it is next used: when it becomes the pivot
+    row, gets a nonzero multiplier, or is the last row. The division is
+    exact because the up-to-date entries are minors of the matrix
+    (Sylvester's identity), hence integers. A stale entry is 0 exactly
+    when its up-to-date value is, since no divisor is 0, so the pivot
+    search and the multiplier test may read stale rows; a row swap swaps
+    the stamps with the rows.
+    """
     m = _square(matrix)
     n = len(m)
     if n == 0:
         return 1
     sign = 1
-    prev = 1
+    div = [1]
+    stamp = [0] * n
+
+    def catch_up(i, k):
+        s = stamp[i]
+        if s != k:
+            r, q = div[k], div[s]
+            m[i][k:] = [x * r // q for x in m[i][k:]]
+            stamp[i] = k
+
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
+                    stamp[k], stamp[i] = stamp[i], stamp[k]
                     sign = -sign
                     break
             else:
                 return 0  # whole pivot column zero: singular
-        pivot = m[k][k]
+        catch_up(k, k)
+        pivot_row = m[k][k + 1:]
+        pivot, prev = m[k][k], div[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
+            if m[i][k] != 0:
+                catch_up(i, k)
+                row = m[i]
+                t = row[k]
+                row[k + 1:] = [
+                    (x * pivot - t * y) // prev
+                    for x, y in zip(row[k + 1:], pivot_row)
+                ]
+                row[k] = 0
+                stamp[i] = k + 1
+        div.append(pivot)
+    catch_up(n - 1, n - 1)
     return sign * m[n - 1][n - 1]
 
 
@@ -53,9 +90,9 @@ def reversed_charpoly(matrix) -> IntPoly:
     """
     m = _square(matrix)
     need = 4 * prod(
-        sum((abs(x) + (i == j)) ** 2 for j, x in enumerate(row))
+        sum(map(mul, row, row)) + 2 * abs(row[i]) + 1
         for i, row in enumerate(m)
-    )  # (2B)^2 < 2^(2b)
+    )  # (2B)^2 < 2^(2b); each factor is sum_j (|m_ij| + [i = j])^2
     p = _proth_prime((need.bit_length() + 1) // 2)
     return IntPoly(
         c - p if 2 * c > p else c for c in reversed(_charpoly_mod(m, p))

@@ -19,10 +19,17 @@ oriented_line_graph).
 
 The first two run in polynomial time through one exact det(I - uM)
 kernel (one pass modulo a Proth prime above twice the Euclidean Hadamard
-bound); their independence lies in the matrices they pass it. The
-enumeration engine shares no arithmetic with them; it is an exponential
-oracle capped by the number of directed edges. The exact agreement of all
-three on every small multigraph is the package's core acceptance test.
+bound); their independence lies in the matrices they pass it. Each
+passes its matrix in an order the kernel's Hessenberg reduction fills in
+less (Bass interleaves its two blocks vertex by vertex, linedet sorts the
+directed edges by origin): a permutation similarity P M P^T, which
+changes neither det(I - uM) nor the bound, hence not the prime. Each
+checks the kernel's polynomial at u = 2 against Bareiss on its own matrix
+in its natural order: I - 2A + 4Q for Bass, I - 2T in edge order for
+linedet. The enumeration engine shares no arithmetic with them; it is an
+exponential oracle capped by the number of directed edges. The exact
+agreement of all three on every small multigraph is the package's core
+acceptance test.
 """
 
 from __future__ import annotations
@@ -95,13 +102,24 @@ def zeta_bass(g: Multigraph) -> IntPoly:
     The determinant is det(I - uB) for the 2|V| x 2|V| linearisation
     B = [[A, -Q], [I, 0]] (the reduced non-backtracking matrix of
     Krzakala et al., PNAS 2013): eliminating the lower block by a Schur
-    complement leaves det(I - Au + Qu^2).
+    complement leaves det(I - Au + Qu^2). The kernel gets B with rows and
+    columns interleaved as (y_0, x_0, y_1, x_1, ...), x_v from the upper
+    block and y_v from the lower: row y_v has its 1 at x_v, and row x_v
+    has -q_v at y_v and a_vw at x_w. This is P B P^T for a permutation P,
+    so det(I - uB) and the kernel's Hadamard bound (hence its prime) are
+    those of the block order, and the Hessenberg reduction meets less
+    fill. The check at u = 2 is Bareiss on I - 2A + 4Q itself.
     """
     validate_zeta_input(g)
     a, q = matrices(g)
     n = g.n
-    b = [a[i] + [-x for x in q[i]] for i in range(n)]
-    b += [[int(i == j) for j in range(n)] + [0] * n for i in range(n)]
+    b = []
+    for v in range(n):
+        y_row, x_row = [0] * (2 * n), [0] * (2 * n)
+        y_row[2 * v + 1] = 1
+        x_row[1::2] = a[v]
+        x_row[2 * v] = -q[v][v]
+        b += (y_row, x_row)
     det = _checked_kernel(b, [
         [int(i == j) - 2 * a[i][j] + 4 * q[i][j] for j in range(n)]
         for i in range(n)
@@ -112,16 +130,27 @@ def zeta_bass(g: Multigraph) -> IntPoly:
 # --- engine B: line-graph determinant ---
 
 def zeta_line_det(g: Multigraph) -> IntPoly:
-    """det(I - uT) over the oriented line graph."""
+    """det(I - uT) over the oriented line graph.
+
+    The kernel gets T with the directed edges sorted by origin (stably),
+    so the rows of the edges leaving one vertex are consecutive, each
+    marking the edges into that vertex less the row's own inverse. This
+    is P T P^T for a permutation P: det(I - uT) and the kernel's
+    Hadamard bound are those of the edge order, and the Hessenberg
+    reduction meets less fill. The check at u = 2 is Bareiss on I - 2T in
+    edge order.
+    """
     validate_zeta_input(g)
     origin, terminus = oriented_line_graph(g)
+    order = sorted(range(len(origin)), key=origin.__getitem__)
     t = [
-        [int(j != i ^ 1 and w == v) for j, w in enumerate(terminus)]
-        for i, v in enumerate(origin)
+        [int(j != i ^ 1 and terminus[j] == origin[i]) for j in order]
+        for i in order
     ]
     det = _checked_kernel(t, [
-        [int(i == j) - 2 * x for j, x in enumerate(row)]
-        for i, row in enumerate(t)
+        [int(i == j) - 2 * (j != i ^ 1 and w == v)
+         for j, w in enumerate(terminus)]
+        for i, v in enumerate(origin)
     ], "linedet")
     return _checked(det, "linedet", g)
 

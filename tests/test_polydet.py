@@ -13,7 +13,7 @@ from iharazeta.polydet import bareiss_int_det, reversed_charpoly
 
 
 def leibniz_det(m):
-    """Reference determinant by the permutation sum; fine for n <= 4."""
+    """Reference determinant by the permutation sum; fine for n <= 6."""
     n = len(m)
     total = 0
     for perm in permutations(range(n)):
@@ -51,6 +51,31 @@ def test_bareiss_vs_leibniz_random():
         n = rng.randint(1, 4)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert bareiss_int_det(m) == leibniz_det(m)
+
+
+def test_bareiss_lazy_rows_vs_leibniz():
+    # a row whose multiplier is 0 is left stale and scaled up to date when
+    # next used; a first pivot of 2 makes that scaling nontrivial.
+    # Row 2 is stale from step 0 and swapped in as the pivot of step 1:
+    assert bareiss_int_det([[2, 2, 0], [2, 2, 1], [0, 3, 5]]) == -6
+    # row 2 is stale from step 0 to the end, as the last row:
+    assert bareiss_int_det([[2, 1, 1], [1, 3, 1], [0, 0, 4]]) == 20
+    # sparse matrices (about 2/3 zeros) meet both cases often; every other
+    # one gets a random transversal so that about half are nonsingular
+    rng = random.Random(21)
+    entries = (-4, -3, -2, -1, 1, 2, 3, 4)
+    singular = 0
+    for trial in range(400):
+        n = rng.randint(2, 6)
+        m = [[rng.choice(entries) if rng.random() < 0.25 else 0
+              for _ in range(n)] for _ in range(n)]
+        if trial % 2:
+            for i, j in enumerate(rng.sample(range(n), n)):
+                m[i][j] = rng.choice(entries)
+        want = leibniz_det(m)
+        assert bareiss_int_det(m) == want
+        singular += want == 0
+    assert 100 <= singular <= 300
 
 
 def test_bareiss_row_swap_sign():

@@ -151,6 +151,39 @@ def test_arc_matrix_transpose_gives_same_determinant():
     assert reversed_charpoly(transpose) == zeta_line_det(g)
 
 
+def block_linearisation(g):
+    """B = [[A, -Q], [I, 0]] in block order, from the edge list."""
+    n = g.n
+    a = [[0] * n for _ in range(n)]
+    for u, v in g.edge_list():
+        a[u][v] += 1
+        a[v][u] += 1  # a loop counts 2 on the diagonal
+    upper = [
+        row + [-(sum(row) - 1) * int(i == j) for j in range(n)]
+        for i, row in enumerate(a)
+    ]
+    lower = [[int(i == j) for j in range(n)] + [0] * n for i in range(n)]
+    return upper + lower
+
+
+def test_engines_hand_the_kernel_permutation_similar_matrices():
+    # zeta_bass interleaves the rows and columns of B and zeta_line_det
+    # sorts the directed edges by origin; each is P M P^T, so the kernel
+    # gives the polynomial of B in block order and of T in edge order
+    graphs = connected_multigraphs(5) + [
+        gen_family(family_spec(*spec))
+        for spec in (("Complete", 6), ("Bouquet", 3),
+                     ("CompleteBipartite", 3, 3))
+    ]
+    for g in graphs:
+        assert zeta_bass(g) == IntPoly.one_minus_u2_pow(g.rank - 1) * (
+            reversed_charpoly(block_linearisation(g))
+        )
+        out = arcs(*oriented_line_graph(g))
+        t = [[int(j in row) for j in range(len(out))] for row in out]
+        assert reversed_charpoly(t) == zeta_line_det(g)
+
+
 # --- frozen values ---
 
 def test_cycle_fixtures():
