@@ -102,7 +102,12 @@ def _cmd_zeta(args) -> int:
     # engine has run
     for name in sorted(names, key=lambda name: name != "enum"):
         fn = _ENGINES[name]
-        polys[name] = fn(g) if name != "enum" else fn(g, cap=args.enum_cap)
+        try:
+            polys[name] = fn(g) if name != "enum" else fn(g, cap=args.enum_cap)
+        except SizeCapError as exc:  # only enum has a cap
+            raise SizeCapError(
+                f"{exc}; --enum-cap {2 * g.edge_count} allows it"
+            ) from exc
     polys = [polys[name] for name in names]
     poly = polys[0]
     if any(p != poly for p in polys):
@@ -233,25 +238,35 @@ def _cmd_rank2(args) -> int:
     return 0
 
 
+def _engine_or_fault(reasons, engine, g, **kwargs):
+    """engine(g, **kwargs), or None with its failed output check in reasons."""
+    try:
+        return engine(g, **kwargs)
+    except ConsistencyError as exc:
+        reasons.append(str(exc))
+        return None
+
+
 def _cmd_verify(args) -> int:
     graphs = connected_multigraphs(args.max_edges)
     failures = []
     enum_checked = 0
     for g in graphs:
         reasons = []
-        bass = zeta_bass(g)
-        line = zeta_line_det(g)
-        if bass != line:
+        bass = _engine_or_fault(reasons, zeta_bass, g)
+        line = _engine_or_fault(reasons, zeta_line_det, g)
+        if None not in (bass, line) and bass != line:
             reasons.append("bass != linedet")
         if 2 * g.edge_count <= args.enum_cap:
-            enum = zeta_enum(g, cap=args.enum_cap)
+            enum = _engine_or_fault(reasons, zeta_enum, g, cap=args.enum_cap)
             enum_checked += 1
-            if enum != bass:
+            if None not in (enum, bass) and enum != bass:
                 reasons.append("enum != bass")
-        try:
-            poly_invariants(bass, g)
-        except VerificationError as exc:
-            reasons.append(str(exc))
+        if bass is not None:
+            try:
+                poly_invariants(bass, g)
+            except VerificationError as exc:
+                reasons.append(str(exc))
         if reasons:
             # The label is the graph's edge-list text, so a failure replays
             # with `zeta --graph`; it has no ": ", the separator before the

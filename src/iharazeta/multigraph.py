@@ -265,19 +265,7 @@ def is_bipartite(g: Multigraph) -> bool:
     return True
 
 
-# --- matrices ---
-
-def matrices(g: Multigraph):
-    """(A, Q): adjacency with 2*loops on the diagonal, and Q = D - I."""
-    n = g.n
-    a = [[g.mult[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        a[i][i] = 2 * g.loops[i]
-    q = [[0] * n for _ in range(n)]
-    for i in range(n):
-        q[i][i] = g.degree(i) - 1
-    return a, q
-
+# --- spanning trees ---
 
 def kirchhoff_tree_count(g: Multigraph) -> int:
     """Spanning trees by the matrix-tree theorem (Laplacian cofactor).

@@ -1,4 +1,5 @@
-"""Exact determinants: bareiss_int_det over the integers, and
+"""Exact determinants: bareiss_int_det over the integers, for the engines'
+output check at u = 2 and for Kirchhoff's tree count, and
 reversed_charpoly, the det(I - uM) kernel of both determinant engines (one
 pass modulo a Proth prime above twice a Euclidean Hadamard bound)."""
 

@@ -23,13 +23,13 @@ bound); their independence lies in the matrices they pass it. Each
 passes its matrix in an order the kernel's Hessenberg reduction fills in
 less (Bass interleaves its two blocks vertex by vertex, linedet sorts the
 directed edges by origin): a permutation similarity P M P^T, which
-changes neither det(I - uM) nor the bound, hence not the prime. Each
-checks the kernel's polynomial at u = 2 against Bareiss on its own matrix
-in its natural order: I - 2A + 4Q for Bass, I - 2T in edge order for
-linedet. The enumeration engine shares no arithmetic with them; it is an
-exponential oracle capped by the number of directed edges. The exact
-agreement of all three on every small multigraph is the package's core
-acceptance test.
+changes neither det(I - uM) nor the bound, hence not the prime. The
+enumeration engine shares no arithmetic with them in computing its
+polynomial; it is an exponential oracle capped by the number of directed
+edges. All three return through one output check, _checked, whose value
+at u = 2 is a |V| x |V| Bareiss determinant of the graph's own tables.
+The exact agreement of all three on every small multigraph is the
+package's core acceptance test.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .multigraph import (
     Multigraph,
     girth,
     is_bipartite,
-    matrices,
     validate_zeta_input,
 )
 from .polydet import bareiss_int_det, reversed_charpoly
@@ -81,16 +80,28 @@ def oriented_line_graph(g: Multigraph) -> tuple[tuple, tuple]:
 # --- output checks ---
 
 def _checked(poly: IntPoly, engine: str, g: Multigraph) -> IntPoly:
-    """poly, after checking that its degree is 2|E| and its constant term
-    is 1; both hold for every graph the engines accept, so a failure is an
-    engine fault."""
-    e = g.edge_count
+    """poly, after checking that its degree is 2|E|, its constant term 1
+    and its value at u = 2 (-3)^(r-1) det(I - 2A + 4Q), as for Bass's
+    (1 - u^2)^(r-1) det(I - Au + Qu^2); by Ihara-Bass that value is also
+    det(I - 2T). The matrix has 4(d_v - loops_v) - 3 on its diagonal and
+    -2 m_vw off it. A failure is an engine fault.
+    """
+    e, n = g.edge_count, g.n
     if poly.degree != 2 * e:
         raise ConsistencyError(
             f"{engine}: degree {poly.degree} != 2|E| = {2 * e}"
         )
     if poly.coeff(0) != 1:
         raise ConsistencyError(f"{engine}: constant term {poly.coeff(0)} != 1")
+    m2 = [[-2 * x for x in row] for row in g.mult]
+    for v in range(n):
+        m2[v][v] = 4 * (g.degree(v) - g.loops[v]) - 3
+    got, want = poly.eval_at(2), (-3) ** (e - n) * bareiss_int_det(m2)
+    if got != want:
+        raise ConsistencyError(
+            f"{engine}: polynomial at u = 2 is {got}, "
+            f"(-3)^(r-1) det(I - 2A + 4Q) gives {want}"
+        )
     return poly
 
 
@@ -102,29 +113,28 @@ def zeta_bass(g: Multigraph) -> IntPoly:
     The determinant is det(I - uB) for the 2|V| x 2|V| linearisation
     B = [[A, -Q], [I, 0]] (the reduced non-backtracking matrix of
     Krzakala et al., PNAS 2013): eliminating the lower block by a Schur
-    complement leaves det(I - Au + Qu^2). The kernel gets B with rows and
-    columns interleaved as (y_0, x_0, y_1, x_1, ...), x_v from the upper
-    block and y_v from the lower: row y_v has its 1 at x_v, and row x_v
-    has -q_v at y_v and a_vw at x_w. This is P B P^T for a permutation P,
-    so det(I - uB) and the kernel's Hadamard bound (hence its prime) are
+    complement leaves det(I - Au + Qu^2), A with 2 loops_v on its
+    diagonal, Q = D - I. The kernel gets B with rows and columns
+    interleaved as (y_0, x_0, y_1, x_1, ...), x_v from the upper block and
+    y_v from the lower: row y_v has its 1 at x_v, and row x_v has -q_v at
+    y_v and a_vw at x_w. This is P B P^T for a permutation P, so
+    det(I - uB) and the kernel's Hadamard bound (hence its prime) are
     those of the block order, and the Hessenberg reduction meets less
-    fill. The check at u = 2 is Bareiss on I - 2A + 4Q itself.
+    fill. At u = 2 the output is the kernel's value times (-3)^(r-1),
+    never 0, so the output check checks the kernel.
     """
     validate_zeta_input(g)
-    a, q = matrices(g)
     n = g.n
     b = []
-    for v in range(n):
+    for v, row in enumerate(g.mult):
         y_row, x_row = [0] * (2 * n), [0] * (2 * n)
         y_row[2 * v + 1] = 1
-        x_row[1::2] = a[v]
-        x_row[2 * v] = -q[v][v]
+        x_row[1::2] = row
+        x_row[2 * v + 1] = 2 * g.loops[v]
+        x_row[2 * v] = 1 - g.degree(v)
         b += (y_row, x_row)
-    det = _checked_kernel(b, [
-        [int(i == j) - 2 * a[i][j] + 4 * q[i][j] for j in range(n)]
-        for i in range(n)
-    ], "bass")
-    return _checked(IntPoly.one_minus_u2_pow(g.rank - 1) * det, "bass", g)
+    poly = IntPoly.one_minus_u2_pow(g.rank - 1) * reversed_charpoly(b)
+    return _checked(poly, "bass", g)
 
 
 # --- engine B: line-graph determinant ---
@@ -137,8 +147,9 @@ def zeta_line_det(g: Multigraph) -> IntPoly:
     marking the edges into that vertex less the row's own inverse. This
     is P T P^T for a permutation P: det(I - uT) and the kernel's
     Hadamard bound are those of the edge order, and the Hessenberg
-    reduction meets less fill. The check at u = 2 is Bareiss on I - 2T in
-    edge order.
+    reduction meets less fill. By Ihara-Bass, det(I - 2T) is the output
+    check's (-3)^(r-1) det(I - 2A + 4Q), so it catches a fault in the
+    kernel or in T with no second 2|E| x 2|E| matrix.
     """
     validate_zeta_input(g)
     origin, terminus = oriented_line_graph(g)
@@ -147,24 +158,7 @@ def zeta_line_det(g: Multigraph) -> IntPoly:
         [int(j != i ^ 1 and terminus[j] == origin[i]) for j in order]
         for i in order
     ]
-    det = _checked_kernel(t, [
-        [int(i == j) - 2 * (j != i ^ 1 and w == v)
-         for j, w in enumerate(terminus)]
-        for i, v in enumerate(origin)
-    ], "linedet")
-    return _checked(det, "linedet", g)
-
-
-def _checked_kernel(m, matrix_at_two, engine: str) -> IntPoly:
-    """det(I - uM), overdetermined by an independent Bareiss determinant of
-    the engine's own matrix at u = 2."""
-    det, want = reversed_charpoly(m), bareiss_int_det(matrix_at_two)
-    if det.eval_at(2) != want:
-        raise ConsistencyError(
-            f"{engine}: determinant polynomial at u = 2 is {det.eval_at(2)}, "
-            f"Bareiss on the matrix at u = 2 gives {want}"
-        )
-    return det
+    return _checked(reversed_charpoly(t), "linedet", g)
 
 
 # --- engine C: linear-subgraph enumeration ---

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import iharazeta
-from iharazeta import cli, families
+from iharazeta import cli, families, zeta
 from iharazeta.cli import run
 from iharazeta.families import gen_family, parse_family_spec
 from iharazeta.intpoly import IntPoly, format_poly
@@ -323,6 +323,32 @@ def test_verify_failure_label_replays_the_graph(monkeypatch, capsys):
     assert parse_edge_list_text(label) == target
 
 
+def test_verify_reports_an_engine_fault_as_a_replayable_failure(
+        monkeypatch, capsys):
+    # a kernel coefficient off by one fails the output check of bass and
+    # linedet on every graph; the sweep records each fault and goes on
+    real = zeta.reversed_charpoly
+
+    def off_by_one(matrix):
+        cs = list(real(matrix).coeffs)
+        cs[len(cs) // 2] += 1
+        return IntPoly(cs)
+
+    monkeypatch.setattr(zeta, "reversed_charpoly", off_by_one)
+    assert run(["verify", "--max-edges", "2", "--format", "json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["graphs"], obj["enum_checked"]) == (3, 3)
+    sweep = connected_multigraphs(2)
+    replayed = []
+    for failure in obj["failures"]:
+        label, reason = failure.split(": ", 1)
+        assert "at u = 2" in reason
+        replayed.append(parse_edge_list_text(label))
+        assert replayed[-1] in sweep
+    assert len(replayed) == 2 * len(sweep)
+    assert set(replayed) == set(sweep)
+
+
 # --- exit codes ---
 
 def test_input_error_exit_codes(tmp_path, capsys):
@@ -378,7 +404,8 @@ def test_enum_cap_exit_code(tmp_path, capsys):
     ) + "\n"
     path = write_graph(tmp_path, k5)
     assert run(["zeta", "--graph", path, "--engine", "enum"]) == 3
-    assert "capped" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "capped" in err and "--enum-cap 20" in err
     path3 = write_graph(tmp_path, TRIANGLE, name="c3.txt")
     assert run(["zeta", "--graph", path3, "--engine", "enum",
                 "--enum-cap", "5"]) == 3
@@ -398,7 +425,8 @@ def test_enum_cap_is_checked_before_the_other_engines(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: enumeration engine capped at 16 "
-                            "line-graph vertices, this graph has 20\n")
+                            "line-graph vertices, this graph has 20; "
+                            "--enum-cap 20 allows it\n")
 
 
 def test_unknown_subcommand():

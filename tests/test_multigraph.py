@@ -15,7 +15,6 @@ from iharazeta.multigraph import (
     girth,
     is_bipartite,
     kirchhoff_tree_count,
-    matrices,
     parse_edge_list,
     parse_edge_list_text,
     table_is_connected,
@@ -226,13 +225,6 @@ def test_validate_zeta_input():
         )
     with pytest.raises(GraphValidationError, match="degree 1"):
         validate_zeta_input(build_multigraph([(0, 1), (1, 2), (2, 0), (2, 3)], 4))
-
-
-def test_matrices_convention():
-    g = build_multigraph([(0, 0), (0, 1), (0, 1)], 2)
-    a, q = matrices(g)
-    assert a == [[2, 2], [2, 0]]
-    assert q == [[3, 0], [0, 1]]
 
 
 # --- spanning trees ---

@@ -10,11 +10,16 @@ from iharazeta.errors import (
     SizeCapError,
     VerificationError,
 )
-from iharazeta.families import closed_form, family_spec, gen_family
+from iharazeta.families import (
+    closed_form,
+    family_spec,
+    gen_family,
+    parse_family_spec,
+)
 from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import build_multigraph, is_bipartite
 from iharazeta import zeta
-from iharazeta.polydet import reversed_charpoly
+from iharazeta.polydet import bareiss_int_det, reversed_charpoly
 from iharazeta.smallgraphs import connected_multigraphs
 from iharazeta.zeta import (
     census_coefficient,
@@ -151,16 +156,21 @@ def test_arc_matrix_transpose_gives_same_determinant():
     assert reversed_charpoly(transpose) == zeta_line_det(g)
 
 
+def adjacency(g):
+    """A from the edge list; a loop counts 2 on the diagonal."""
+    a = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edge_list():
+        a[u][v] += 1
+        a[v][u] += 1
+    return a
+
+
 def block_linearisation(g):
     """B = [[A, -Q], [I, 0]] in block order, from the edge list."""
     n = g.n
-    a = [[0] * n for _ in range(n)]
-    for u, v in g.edge_list():
-        a[u][v] += 1
-        a[v][u] += 1  # a loop counts 2 on the diagonal
     upper = [
         row + [-(sum(row) - 1) * int(i == j) for j in range(n)]
-        for i, row in enumerate(a)
+        for i, row in enumerate(adjacency(g))
     ]
     lower = [[int(i == j) for j in range(n)] + [0] * n for i in range(n)]
     return upper + lower
@@ -182,6 +192,31 @@ def test_engines_hand_the_kernel_permutation_similar_matrices():
         out = arcs(*oriented_line_graph(g))
         t = [[int(j in row) for j in range(len(out))] for row in out]
         assert reversed_charpoly(t) == zeta_line_det(g)
+
+
+def test_ihara_bass_at_two_on_the_sweep_and_families():
+    # the identity the output check rests on: (-3)^(r-1) det(I - 2A + 4Q)
+    # = det(I - 2T), with A and Q = D - I from the edge list and T in edge
+    # order from the arc rule, over loops, parallel edges and dense graphs
+    graphs = connected_multigraphs(6) + [
+        gen_family(parse_family_spec(spec))
+        for spec in ("K(9)", "Kl(3,2)", "BQ(3)", "D(2,1,3)", "Kb(3,3)")
+    ]
+    for g in graphs:
+        a = adjacency(g)
+        vertex_side = [
+            [int(i == j) - 2 * x + 4 * (sum(row) - 1) * int(i == j)
+             for j, x in enumerate(row)]
+            for i, row in enumerate(a)
+        ]
+        out = arcs(*oriented_line_graph(g))
+        edge_side = [
+            [int(i == j) - 2 * int(j in row) for j in range(len(out))]
+            for i, row in enumerate(out)
+        ]
+        assert (-3) ** (g.rank - 1) * bareiss_int_det(vertex_side) == (
+            bareiss_int_det(edge_side)
+        )
 
 
 # --- frozen values ---
@@ -229,14 +264,30 @@ def test_engines_agree_on_small_sweep(sweep7):
         assert zeta_enum(g) == a
 
 
-@pytest.mark.parametrize("engine", [zeta_bass, zeta_line_det])
-def test_wrong_kernel_coefficient_fails_the_check_point(monkeypatch, engine):
-    def off_by_one(matrix):
-        cs = list(reversed_charpoly(matrix).coeffs)
-        cs[len(cs) // 2] += 1  # neither the constant nor the leading term
-        return IntPoly(cs)
+def middle_off_by_one(coeffs):
+    cs = list(coeffs)
+    cs[len(cs) // 2] += 1  # neither the constant nor the leading term
+    return cs
 
-    monkeypatch.setattr(zeta, "reversed_charpoly", off_by_one)
+
+@pytest.mark.parametrize("engine", [zeta_bass, zeta_line_det, zeta_enum])
+def test_wrong_kernel_coefficient_fails_the_check_point(monkeypatch, engine):
+    # the determinant kernel for bass and linedet, the packing DP for enum
+    packing = zeta._packing_coefficients
+    monkeypatch.setattr(zeta, "reversed_charpoly", lambda matrix: IntPoly(
+        middle_off_by_one(reversed_charpoly(matrix).coeffs)))
+    monkeypatch.setattr(zeta, "_packing_coefficients", lambda *olg: (
+        middle_off_by_one(packing(*olg))))
+    with pytest.raises(ConsistencyError, match="at u = 2"):
+        engine(two_cycles_joined(3, 4))
+
+
+@pytest.mark.parametrize("engine", [zeta_bass, zeta_line_det, zeta_enum])
+def test_every_engine_runs_the_check_at_two(monkeypatch, engine):
+    # a wrong reference value rejects a correct polynomial, so each engine
+    # must have compared its output with it
+    monkeypatch.setattr(zeta, "bareiss_int_det",
+                        lambda matrix: bareiss_int_det(matrix) + 1)
     with pytest.raises(ConsistencyError, match="at u = 2"):
         engine(two_cycles_joined(3, 4))
 
