@@ -1,10 +1,13 @@
 """Exact reciprocal Ihara zeta polynomials for connected multigraphs.
 
-Three independent engines (determinant on the vertex matrices,
-determinant on the oriented line graph, signed cycle-packing
-enumeration) compute the same integer polynomial; family generators with
-published closed forms, a rank-two classification, and spanning-tree
-counts round out the library. Everything is exact integer arithmetic.
+Three independent engines compute the same integer polynomial: a
+determinant on the vertex matrices, a determinant on the oriented line
+graph, and the signed cycle-packing count summed as clow sequences,
+det(I - uT) = prod_h (1 - W_h(u)) with W_h counting the closed walks from
+directed edge h back to h through edges > h only, in O((2|E|)^3) integer
+operations. Family generators with published closed forms, a rank-two
+classification, and spanning-tree counts round out the library.
+Everything is exact integer arithmetic.
 
 The API lives in the submodules, imported by name: ``zeta`` (the
 engines), ``families``, ``multigraph``, ``smallgraphs``, ``ranktwo``,

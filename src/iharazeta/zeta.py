@@ -7,11 +7,12 @@ computations of it live here:
 * zeta_bass:     (1 - u^2)^(r-1) * det(I - Au + Qu^2), r = |E| - |V| + 1;
 * zeta_line_det: det(I - uT) with T the arc matrix of the oriented line
                  graph on the 2|E| directed edges;
-* zeta_enum:     signed exhaustive count of vertex-disjoint directed-cycle
-                 packings (linear subgraphs) of the oriented line graph,
-                 one coefficient per packing size; its dynamic program
-                 sums each transition per vertex of G, minus the
-                 backtrack, and drops zero-count states.
+* zeta_enum:     the signed count of linear subgraphs of the oriented
+                 line graph, summed as clow sequences (Mahajan and
+                 Vinay 1997): det(I - uT) = prod_h (1 - W_h(u)), W_h
+                 counting the closed walks from directed edge h back
+                 to h through directed edges > h only; O((2|E|)^3)
+                 integer operations.
 
 The oriented line graph is kept as two columns, (origin, terminus), over
 the 2|E| directed edges; its arcs follow from them by one rule (see
@@ -25,9 +26,10 @@ less (Bass interleaves its two blocks vertex by vertex, linedet sorts the
 directed edges by origin): a permutation similarity P M P^T, which
 changes neither det(I - uM) nor the bound, hence not the prime. The
 enumeration engine shares no arithmetic with them in computing its
-polynomial; it is an exponential oracle capped by the number of directed
-edges. All three return through one output check, _checked, whose value
-at u = 2 is a |V| x |V| Bareiss determinant of the graph's own tables.
+polynomial; it counts walks with integer additions and multiplications
+only, and is capped by the number of directed edges. All three return
+through one output check, _checked, whose value at u = 2 is a |V| x |V|
+Bareiss determinant of the graph's own tables.
 The exact agreement of all three on every small multigraph is the
 package's core acceptance test.
 """
@@ -46,7 +48,7 @@ from .multigraph import (
 )
 from .polydet import bareiss_int_det, reversed_charpoly
 
-DEFAULT_ENUM_CAP = 16
+DEFAULT_ENUM_CAP = 64
 
 
 # --- oriented line graph ---
@@ -167,8 +169,10 @@ def zeta_enum(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> IntPoly:
     """Coefficients as signed counts of directed-cycle packings.
 
     c_k sums (-1)^(number of cycles) over all vertex-disjoint unions of
-    directed cycles covering exactly k line-graph vertices; c_0 = 1. The
-    cap bounds the number of line-graph vertices (2|E|) and is checked
+    directed cycles covering exactly k line-graph vertices; c_0 = 1.
+    They are summed as clow sequences, det(I - uT) = prod_h (1 - W_h(u)),
+    in O((2|E|)^3) integer operations (_clow_coefficients). The cap
+    bounds the number of line-graph vertices (2|E|) and is checked
     before the line graph is built; exceeding it is a SizeCapError, an
     intentional scale limit rather than a failure.
     """
@@ -178,61 +182,50 @@ def zeta_enum(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> IntPoly:
             f"enumeration engine capped at {cap} line-graph vertices, "
             f"this graph has {2 * g.edge_count}"
         )
-    coeffs = _packing_coefficients(*oriented_line_graph(g))
+    coeffs = _clow_coefficients(*oriented_line_graph(g))
     return _checked(IntPoly(coeffs), "enum", g)
 
 
-def _packing_coefficients(origin, terminus):
-    """[c_0 .. c_n] by dynamic programming over (support mask, endpoint).
+def _clow_coefficients(origin, terminus):
+    """[c_0 .. c_n] of det(I - uT) as prod_h (1 - W_h(u)), truncated at u^n.
 
-    States are partial packings: a set of finished cycles plus one open
-    path, built in decreasing order of cycle anchors (anchor = smallest
-    vertex of a cycle), so each packing is produced exactly once. The open
-    path's anchor is always the lowest bit of the support mask. Finishing
-    a cycle flips the sign; the signed totals per support size are the
-    coefficients.
+    W_h(u) counts the closed walks from directed edge h back to h whose
+    other directed edges are all > h, by length (Mahajan and Vinay's
+    clow sequences, summed head by head). Proof: write M_S for I - uT
+    restricted to the directed edges in S. By Cramer's rule the [h, h]
+    entry of the inverse of M_{>=h} is det(M_{>h}) / det(M_{>=h}). As a
+    power series, that inverse is the sum of u^k T_{>=h}^k, so the entry
+    counts the walks from h to h inside {h, ...}; each splits uniquely
+    at its returns to h into first-return walks, giving 1 / (1 - W_h).
+    So det(M_{>=h}) = det(M_{>h}) (1 - W_h), and the factors telescope
+    from det(M_{>n-1}) = 1 to det(I - uT), a polynomial of degree <= n.
 
-    A path ending at w extends to x exactly when origin[w] = terminus[x]
-    and w != x ^ 1. So per mask the open-path counts are summed by the
-    graph vertex origin[w], and the count entering x is that vertex's sum
-    minus the backtrack w = x ^ 1; closing uses the same formula with x
-    the anchor. A state whose count is 0 is not created. Each state has
-    exactly one predecessor mask, so it is written once, never added to.
+    A walk ending at w extends to x exactly when origin[w] = terminus[x]
+    and w != x ^ 1. So each step sums the counts of a {edge: count} row
+    by the graph vertex origin[w], and the count entering x is that
+    vertex's sum minus the backtrack w = x ^ 1; closing at h uses the
+    same formula. A step costs O(n) whatever the arc density, so the DP
+    costs O(n^3) integer additions and multiplications.
     """
     n = len(origin)
-    into = [0] * (max(terminus) + 1)  # into[v]: bits of the x ending at v
-    for x, v in enumerate(terminus):
-        into[v] |= 1 << x
-    full = (1 << n) - 1
+    into: dict[int, list[int]] = {}  # into[v]: the x > h ending at v
     c = [1] + [0] * n
-    layer = {1 << a: {a: 1} for a in range(n)}
-    k = 1
-    while layer:
-        nxt: dict[int, dict[int, int]] = {}
-        for mask, ends in layer.items():
-            low = mask & -mask
-            anchor = low.bit_length() - 1
-            free = full ^ mask ^ (low - 1)  # the x > anchor outside mask
+    for h in reversed(range(n)):
+        walks = []  # (k, u^k coefficient of W_h), nonzero only
+        row = {h: 1}  # walks from h by their last directed edge
+        for k in range(1, n + 1):
             at: dict[int, int] = {}
-            for w, cnt in ends.items():
-                v = origin[w]
-                at[v] = at.get(v, 0) + cnt
-            for v, total in at.items():
-                bits = into[v] & free
-                while bits:
-                    b = bits & -bits
-                    bits ^= b
-                    x = b.bit_length() - 1
-                    cnt = total - ends.get(x ^ 1, 0)
-                    if cnt:
-                        nxt.setdefault(mask | b, {})[x] = cnt
-            closed = ends.get(anchor ^ 1, 0) - at.get(terminus[anchor], 0)
-            if closed:
-                c[k] += closed
-                for a2 in range(anchor):
-                    nxt.setdefault(mask | 1 << a2, {})[a2] = closed
-        layer = nxt
-        k += 1
+            for w, cnt in row.items():
+                at[origin[w]] = at.get(origin[w], 0) + cnt
+            if closed := at.get(terminus[h], 0) - row.get(h ^ 1, 0):
+                walks.append((k, closed))
+            row = {x: cnt for v, total in at.items() for x in into.get(v, ())
+                   if (cnt := total - row.get(x ^ 1, 0))}
+            if not row:
+                break
+        for k in range(n, 0, -1):  # c *= 1 - W_h, in place from the top
+            c[k] -= sum(cw * c[k - j] for j, cw in walks if j <= k)
+        into.setdefault(terminus[h], []).append(h)
     return c
 
 

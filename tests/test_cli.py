@@ -399,13 +399,13 @@ def test_bad_sweep_sizes_are_rejected_before_generation(
 
 
 def test_enum_cap_exit_code(tmp_path, capsys):
-    k5 = "n 5\n" + "\n".join(
-        f"{i} {j}" for i in range(5) for j in range(i + 1, 5)
+    k9 = "n 9\n" + "\n".join(
+        f"{i} {j}" for i in range(9) for j in range(i + 1, 9)
     ) + "\n"
-    path = write_graph(tmp_path, k5)
+    path = write_graph(tmp_path, k9)
     assert run(["zeta", "--graph", path, "--engine", "enum"]) == 3
     err = capsys.readouterr().err
-    assert "capped" in err and "--enum-cap 20" in err
+    assert "capped" in err and "--enum-cap 72" in err
     path3 = write_graph(tmp_path, TRIANGLE, name="c3.txt")
     assert run(["zeta", "--graph", path3, "--engine", "enum",
                 "--enum-cap", "5"]) == 3
@@ -420,13 +420,13 @@ def test_enum_cap_is_checked_before_the_other_engines(
     monkeypatch.setitem(cli._ENGINES, "bass", never)
     monkeypatch.setitem(cli._ENGINES, "linedet", never)
     path = write_graph(tmp_path, format_edge_list(
-        gen_family(parse_family_spec("K(5)"))))
+        gen_family(parse_family_spec("K(9)"))))
     assert run(["zeta", "--graph", path, "--engine", "all"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: enumeration engine capped at 16 "
-                            "line-graph vertices, this graph has 20; "
-                            "--enum-cap 20 allows it\n")
+    assert captured.err == ("error: enumeration engine capped at 64 "
+                            "line-graph vertices, this graph has 72; "
+                            "--enum-cap 72 allows it\n")
 
 
 def test_unknown_subcommand():

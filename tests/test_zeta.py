@@ -272,12 +272,12 @@ def middle_off_by_one(coeffs):
 
 @pytest.mark.parametrize("engine", [zeta_bass, zeta_line_det, zeta_enum])
 def test_wrong_kernel_coefficient_fails_the_check_point(monkeypatch, engine):
-    # the determinant kernel for bass and linedet, the packing DP for enum
-    packing = zeta._packing_coefficients
+    # the determinant kernel for bass and linedet, the clow DP for enum
+    clow = zeta._clow_coefficients
     monkeypatch.setattr(zeta, "reversed_charpoly", lambda matrix: IntPoly(
         middle_off_by_one(reversed_charpoly(matrix).coeffs)))
-    monkeypatch.setattr(zeta, "_packing_coefficients", lambda *olg: (
-        middle_off_by_one(packing(*olg))))
+    monkeypatch.setattr(zeta, "_clow_coefficients", lambda *olg: (
+        middle_off_by_one(clow(*olg))))
     with pytest.raises(ConsistencyError, match="at u = 2"):
         engine(two_cycles_joined(3, 4))
 
@@ -306,12 +306,12 @@ def test_wrong_degree_fails_the_output_check(monkeypatch, engine):
 
 
 def test_wrong_constant_term_fails_the_output_check(monkeypatch):
-    real = zeta._packing_coefficients
+    real = zeta._clow_coefficients
 
     def constant_two(origin, terminus):
         return [2] + real(origin, terminus)[1:]
 
-    monkeypatch.setattr(zeta, "_packing_coefficients", constant_two)
+    monkeypatch.setattr(zeta, "_clow_coefficients", constant_two)
     with pytest.raises(ConsistencyError, match="constant term 2"):
         zeta_enum(cycle(3))
 
@@ -346,14 +346,15 @@ def test_census_reproduces_enum_coefficients(sweep7):
             assert census_coefficient(census, k) == poly.coeff(k)
 
 
-def test_enum_beyond_int64_limit():
-    g = two_cycles_joined(4, 5)  # 18 directed edges, above the default cap
-    assert zeta_enum(g, cap=18) == zeta_bass(g)
+def test_enum_matches_bass_on_sparse_graphs():
+    # 18 and 100 directed edges: sparse line graphs with long cycles
+    for g in (two_cycles_joined(4, 5), two_cycles_joined(20, 30)):
+        assert zeta_enum(g, cap=2 * g.edge_count) == zeta_bass(g)
 
 
 def test_size_cap():
-    with pytest.raises(SizeCapError, match="20"):
-        zeta_enum(complete(5))
+    with pytest.raises(SizeCapError, match="72"):
+        zeta_enum(complete(9))
     with pytest.raises(SizeCapError):
         zeta_enum(cycle(3), cap=5)
     assert zeta_enum(cycle(3), cap=6) == zeta_bass(cycle(3))
@@ -370,12 +371,15 @@ def test_size_cap_is_checked_before_the_line_graph_is_built(monkeypatch):
 
 @pytest.mark.parametrize("spec", [
     *(family_spec("Bouquet", a) for a in range(1, 10)),
+    family_spec("Bouquet", 32),
     family_spec("Dumbbell", 4, 4, 1),
     family_spec("ThreeVertex", 1, 1, 1, 2, 2, 2),
+    family_spec("Complete", 9),
 ], ids=str)
 def test_enum_on_dense_line_graphs(spec):
-    # all 2|E| directed edges start at one to three graph vertices, so the
-    # per-vertex sums are dense and many transitions cancel to 0
+    # all 2|E| directed edges start at one to nine graph vertices, so the
+    # per-vertex sums are dense; Bouquet(32) has as many directed edges as
+    # the default cap allows, Complete(9) needs the cap raised to 72
     g = gen_family(spec)
     assert zeta_enum(g, cap=2 * g.edge_count) == closed_form(spec)
 
