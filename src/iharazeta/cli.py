@@ -2,9 +2,11 @@
 
 Subcommands map one-to-one onto the library surface: zeta (engines on a
 graph file), family (closed forms), trees (spanning-tree counts), rank2
-(distinctness table), verify (engine-agreement sweep). Output is
-deterministic: no timestamps, fixed orderings, and json mode re-serializes
-byte-identically.
+(distinctness table), verify (zeta --engine all on every connected
+multigraph up to --max-edges). zeta and verify run, compare and check the
+engines in one place, _run_engines; each failed check is one line naming
+it. Output is deterministic: no timestamps, fixed orderings, and json
+mode re-serializes byte-identically.
 
 Exit codes: 0 success, 1 disagreement or violated cross-check, 2 bad
 input, 3 size cap exceeded.
@@ -94,28 +96,57 @@ def _emit_json(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _emit_csv(header, rows):
+    # the csv module quotes the fields that need it (rank2's spec strings)
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _run_engines(g, names, enum_cap):
+    """(polys, reasons): the named engines run on g, compared and checked.
+
+    Order: enum runs first, so its SizeCapError (not caught) rejects g
+    before any other engine runs. Fault: an engine's ConsistencyError
+    becomes a reason and that engine gives no polynomial; the others
+    still run. Comparison: polys holds the polynomials in names order,
+    and each differing from the first gives "{name} != {first}".
+    Invariants: poly_invariants checks that first polynomial once; a
+    VerificationError becomes a reason. g passes iff reasons is empty.
+    """
+    polys, reasons = {}, []
+    for name in sorted(names, key=lambda name: name != "enum"):
+        kwargs = {"cap": enum_cap} if name == "enum" else {}
+        try:
+            polys[name] = _ENGINES[name](g, **kwargs)
+        except ConsistencyError as exc:
+            reasons.append(str(exc))
+    polys = {name: polys[name] for name in names if name in polys}
+    if polys:
+        first, poly = next(iter(polys.items()))
+        reasons += [f"{name} != {first}"
+                    for name, p in polys.items() if p != poly]
+        try:
+            poly_invariants(poly, g)
+        except VerificationError as exc:
+            reasons.append(str(exc))
+    return polys, reasons
+
+
 def _cmd_zeta(args) -> int:
     g = _load_graph(args.graph)
     names = list(_ENGINES) if args.engine == "all" else [args.engine]
-    polys = {}
-    # enum first, so that its size cap rejects a graph before any other
-    # engine has run
-    for name in sorted(names, key=lambda name: name != "enum"):
-        fn = _ENGINES[name]
-        try:
-            polys[name] = fn(g) if name != "enum" else fn(g, cap=args.enum_cap)
-        except SizeCapError as exc:  # only enum has a cap
-            raise SizeCapError(
-                f"{exc}; --enum-cap {2 * g.edge_count} allows it"
-            ) from exc
-    polys = [polys[name] for name in names]
-    poly = polys[0]
-    if any(p != poly for p in polys):
-        for name, p in zip(names, polys):
-            print(f"{name}: {format_poly(p)}", file=sys.stderr)
-        print("engines disagree", file=sys.stderr)
+    try:
+        polys, reasons = _run_engines(g, names, args.enum_cap)
+    except SizeCapError as exc:  # only enum has a cap
+        raise SizeCapError(
+            f"{exc}; --enum-cap {2 * g.edge_count} allows it"
+        ) from exc
+    for reason in reasons:
+        print(f"error: {reason}", file=sys.stderr)
+    if reasons:
         return 1
-    poly_invariants(poly, g)  # raises on violation -> exit 1
+    poly = polys[names[0]]
     if args.format == "json":
         _emit_json({
             "graph": _graph_json(g),
@@ -131,10 +162,9 @@ def _cmd_zeta(args) -> int:
             },
         })
     elif args.format == "csv":
-        print("engine,power,coeff")
-        for name, p in zip(names, polys):
-            for k in range(p.degree + 1):
-                print(f"{name},{k},{p.coeff(k)}")
+        _emit_csv(("engine", "power", "coeff"),
+                  ((name, k, c) for name, p in polys.items()
+                   for k, c in enumerate(p.coeffs)))
     else:
         print(format_poly(poly))
         if len(names) > 1:
@@ -154,9 +184,7 @@ def _cmd_family(args) -> int:
         _emit_json(obj)
         return 0
     if args.format == "csv":
-        print("power,coeff")
-        for k in range(form.degree + 1):
-            print(f"{k},{form.coeff(k)}")
+        _emit_csv(("power", "coeff"), enumerate(form.coeffs))
         return 0
     print(format_poly(form))
     if args.verify:
@@ -189,9 +217,7 @@ def _cmd_trees(args) -> int:
             "kappa": str(methods[-1][1]) if agree else None,
         })
     elif args.format == "csv":
-        print("method,kappa")
-        for name, v in methods:
-            print(f"{name},{v}")
+        _emit_csv(("method", "kappa"), methods)
     else:
         for name, v in methods:
             print(f"{name}: {v}")
@@ -220,13 +246,9 @@ def _cmd_rank2(args) -> int:
             "rows": rows,
         })
     elif args.format == "csv":
-        # spec strings contain commas, so let the csv module quote them
         columns = ("spec", "edges", "leading_coeff", "girth_readout",
                    "tree_count", "poly_hash")
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([r[k] for k in columns])
+        _emit_csv(columns, ([r[k] for k in columns] for r in rows))
     else:
         print(f"{len(rows)} canonical rank-two graphs with at most "
               f"{args.max_edges} edges; all zeta polynomials distinct")
@@ -238,35 +260,11 @@ def _cmd_rank2(args) -> int:
     return 0
 
 
-def _engine_or_fault(reasons, engine, g, **kwargs):
-    """engine(g, **kwargs), or None with its failed output check in reasons."""
-    try:
-        return engine(g, **kwargs)
-    except ConsistencyError as exc:
-        reasons.append(str(exc))
-        return None
-
-
 def _cmd_verify(args) -> int:
     graphs = connected_multigraphs(args.max_edges)
     failures = []
-    enum_checked = 0
     for g in graphs:
-        reasons = []
-        bass = _engine_or_fault(reasons, zeta_bass, g)
-        line = _engine_or_fault(reasons, zeta_line_det, g)
-        if None not in (bass, line) and bass != line:
-            reasons.append("bass != linedet")
-        if 2 * g.edge_count <= args.enum_cap:
-            enum = _engine_or_fault(reasons, zeta_enum, g, cap=args.enum_cap)
-            enum_checked += 1
-            if None not in (enum, bass) and enum != bass:
-                reasons.append("enum != bass")
-        if bass is not None:
-            try:
-                poly_invariants(bass, g)
-            except VerificationError as exc:
-                reasons.append(str(exc))
+        _, reasons = _run_engines(g, list(_ENGINES), DEFAULT_ENUM_CAP)
         if reasons:
             # The label is the graph's edge-list text, so a failure replays
             # with `zeta --graph`; it has no ": ", the separator before the
@@ -277,12 +275,12 @@ def _cmd_verify(args) -> int:
         _emit_json({
             "max_edges": args.max_edges,
             "graphs": len(graphs),
-            "enum_checked": enum_checked,
+            "enum_checked": len(graphs),
             "failures": [f"{label}: {reason}" for label, reason in failures],
         })
     else:
         print(f"checked {len(graphs)} multigraphs with at most "
-              f"{args.max_edges} edges ({enum_checked} also via enum)")
+              f"{args.max_edges} edges ({len(graphs)} also via enum)")
         for label, reason in failures:
             print(f"FAIL {reason}")
             print(label)
@@ -346,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="engine-agreement sweep")
     v.add_argument("--max-edges", type=_int_at_least(1), required=True)
-    v.add_argument("--enum-cap", type=_int_at_least(0),
-                   default=DEFAULT_ENUM_CAP)
     v.add_argument("--format", choices=("human", "json"), default="human")
     v.set_defaults(fn=_cmd_verify)
     return ap

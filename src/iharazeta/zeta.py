@@ -262,18 +262,17 @@ def linear_subgraph_census(origin, terminus):
     structurally different enumeration (explicit cycles, then disjoint
     packing) used to audit the coefficient tables.
     """
-    cycles = enumerate_directed_cycles(origin, terminus)
     census: dict[tuple[int, int], int] = {}
 
-    def pack(start, used, k, r):
-        for i in range(start, len(cycles)):
-            mask, length = cycles[i]
-            if not mask & used:
-                key = (k + length, r + 1)
-                census[key] = census.get(key, 0) + 1
-                pack(i + 1, used | mask, k + length, r + 1)
+    def pack(cycles, k, r):
+        # cycles: the later cycles disjoint from every one packed so far
+        for i, (mask, length) in enumerate(cycles):
+            key = (k + length, r + 1)
+            census[key] = census.get(key, 0) + 1
+            pack([c for c in cycles[i + 1:] if not c[0] & mask],
+                 k + length, r + 1)
 
-    pack(0, 0, 0, 0)
+    pack(enumerate_directed_cycles(origin, terminus), 0, 0)
     return census
 
 

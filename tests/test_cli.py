@@ -104,7 +104,17 @@ def test_zeta_engine_disagreement(tmp_path, capsys, monkeypatch):
     path = write_graph(tmp_path, TRIANGLE)
     monkeypatch.setitem(cli._ENGINES, "linedet", lambda g: IntPoly((1, 1)))
     assert run(["zeta", "--graph", path, "--engine", "all"]) == 1
-    assert "engines disagree" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: linedet != bass\n"
+    # engines that agree on a wrong polynomial fail the invariant checks
+    for name in ("bass", "enum"):
+        monkeypatch.setitem(cli._ENGINES, name,
+                            lambda g, cap=None: IntPoly((1, 1)))
+    assert run(["zeta", "--graph", path, "--engine", "all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree check failed: 1 != 2|E| = 6\n"
 
 
 # --- family ---
@@ -297,24 +307,24 @@ def test_verify_json(capsys):
 
 
 def test_verify_reports_engine_mismatch(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "zeta_line_det", lambda g: IntPoly((1,)))
+    monkeypatch.setitem(cli._ENGINES, "linedet", lambda g: IntPoly((1,)))
     assert run(["verify", "--max-edges", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
     # the lines after a FAIL line are the graph's edge-list file
-    block = out.split("FAIL bass != linedet\n")[1].split("FAIL")[0]
+    block = out.split("FAIL linedet != bass\n")[1].split("FAIL")[0]
     assert parse_edge_list_text(block) in connected_multigraphs(2)
 
 
 def test_verify_failure_label_replays_the_graph(monkeypatch, capsys):
     target = connected_multigraphs(3)[5]
-    real = cli.zeta_enum
+    real = cli._ENGINES["enum"]
 
     def wrong_for_target(g, cap):
         poly = real(g, cap=cap)
         return -poly if g == target else poly
 
-    monkeypatch.setattr(cli, "zeta_enum", wrong_for_target)
+    monkeypatch.setitem(cli._ENGINES, "enum", wrong_for_target)
     assert run(["verify", "--max-edges", "3", "--format", "json"]) == 1
     failures = json.loads(capsys.readouterr().out)["failures"]
     assert len(failures) == 1
@@ -324,7 +334,7 @@ def test_verify_failure_label_replays_the_graph(monkeypatch, capsys):
 
 
 def test_verify_reports_an_engine_fault_as_a_replayable_failure(
-        monkeypatch, capsys):
+        tmp_path, monkeypatch, capsys):
     # a kernel coefficient off by one fails the output check of bass and
     # linedet on every graph; the sweep records each fault and goes on
     real = zeta.reversed_charpoly
@@ -347,6 +357,15 @@ def test_verify_reports_an_engine_fault_as_a_replayable_failure(
         assert replayed[-1] in sweep
     assert len(replayed) == 2 * len(sweep)
     assert set(replayed) == set(sweep)
+    # zeta --engine all reports both faults too, not only the first
+    path = write_graph(tmp_path, TRIANGLE)
+    assert run(["zeta", "--graph", path, "--engine", "all"]) == 1
+    captured = capsys.readouterr()
+    errors = captured.err.splitlines()
+    assert captured.out == ""
+    assert [e.split(": ")[:2] for e in errors] == [["error", "bass"],
+                                                    ["error", "linedet"]]
+    assert all("at u = 2" in e for e in errors)
 
 
 # --- exit codes ---
@@ -383,8 +402,9 @@ def test_bad_sweep_sizes_are_rejected_before_generation(
     for argv, message in (
         (["verify", "--max-edges", "0"], "--max-edges: must be >= 1, got 0"),
         (["verify", "--max-edges", "-3"], "--max-edges: must be >= 1, got -3"),
+        # the enum cap belongs to zeta; verify runs under the default
         (["verify", "--max-edges", "3", "--enum-cap", "-1"],
-         "--enum-cap: must be >= 0, got -1"),
+         "unrecognized arguments: --enum-cap"),
         (["zeta", "--graph", path, "--enum-cap", "-2"],
          "--enum-cap: must be >= 0, got -2"),
         # verify has no csv form; refused, not printed as human text
@@ -398,7 +418,7 @@ def test_bad_sweep_sizes_are_rejected_before_generation(
         assert message in captured.err and captured.out == ""
 
 
-def test_enum_cap_exit_code(tmp_path, capsys):
+def test_enum_cap_exit_code(tmp_path, monkeypatch, capsys):
     k9 = "n 9\n" + "\n".join(
         f"{i} {j}" for i in range(9) for j in range(i + 1, 9)
     ) + "\n"
@@ -410,6 +430,12 @@ def test_enum_cap_exit_code(tmp_path, capsys):
     assert run(["zeta", "--graph", path3, "--engine", "enum",
                 "--enum-cap", "5"]) == 3
     capsys.readouterr()
+    # verify runs enum under the default cap, and exits 3 above it too
+    monkeypatch.setattr(cli, "DEFAULT_ENUM_CAP", 4)
+    assert run(["verify", "--max-edges", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capped at 4 line-graph vertices" in captured.err
 
 
 def test_enum_cap_is_checked_before_the_other_engines(

@@ -49,8 +49,7 @@ def test_engines_agree_on_random_multigraphs(case):
     g = build_multigraph(edges, n)
     poly = zeta_bass(g)
     assert zeta_line_det(g) == poly
-    if 2 * g.edge_count <= 16:
-        assert zeta_enum(g) == poly
+    assert zeta_enum(g) == poly
     relabelled = build_multigraph([(perm[u], perm[v]) for u, v in edges], n)
     assert zeta_bass(relabelled) == poly
     poly_invariants(poly, g)
