@@ -8,8 +8,9 @@ engines in one place, _run_engines; each failed check is one line naming
 it. Output is deterministic: no timestamps, fixed orderings, and json
 mode re-serializes byte-identically.
 
-Exit codes: 0 success, 1 disagreement or violated cross-check, 2 bad
-input, 3 size cap exceeded.
+Exit codes: 0 success, else the exit_code of the package error raised:
+1 disagreement or violated cross-check (VerificationError), 2 bad input
+(InputError), 3 size cap exceeded (SizeCapError).
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ import json
 import signal
 import sys
 
-from .errors import (
-    ConsistencyError,
-    GraphValidationError,
-    InputError,
-    SizeCapError,
-    VerificationError,
-)
+from .errors import InputError, SizeCapError, VerificationError, ZetaError
 from .families import (
     FAMILIES,
     closed_form,
@@ -67,7 +62,7 @@ def _load_graph(path):
     n_vertices, edges = parse_edge_list(text)
     # min degree 2 implies |V| <= |E|; checked before any |V| x |V| table
     if n_vertices > len(edges):
-        raise GraphValidationError(
+        raise InputError(
             f"graph has {n_vertices} vertices but {len(edges)} edges; a "
             "connected graph of min degree 2 needs |V| <= |E|"
         )
@@ -107,10 +102,11 @@ def _run_engines(g, names, enum_cap):
     """(polys, reasons): the named engines run on g, compared and checked.
 
     Order: enum runs first, so its SizeCapError (not caught) rejects g
-    before any other engine runs. Fault: an engine's ConsistencyError
-    becomes a reason and that engine gives no polynomial; the others
-    still run. Comparison: polys holds the polynomials in names order,
-    and each differing from the first gives "{name} != {first}".
+    before any other engine runs. Fault: an engine's VerificationError
+    (its output check, zeta._checked) becomes a reason and that engine
+    gives no polynomial; the others still run. Comparison: polys holds
+    the polynomials in names order, and each differing from the first
+    gives "{name} != {first}".
     Invariants: poly_invariants checks that first polynomial once; a
     VerificationError becomes a reason. g passes iff reasons is empty.
     """
@@ -119,7 +115,7 @@ def _run_engines(g, names, enum_cap):
         kwargs = {"cap": enum_cap} if name == "enum" else {}
         try:
             polys[name] = _ENGINES[name](g, **kwargs)
-        except ConsistencyError as exc:
+        except VerificationError as exc:
             reasons.append(str(exc))
     polys = {name: polys[name] for name in names if name in polys}
     if polys:
@@ -204,26 +200,26 @@ def _cmd_trees(args) -> int:
     if spec is not None and FAMILIES[spec.tag].tree_count is not None:
         methods.append(("closed-form", tree_count_closed_form(spec)))
     if g.rank >= 2:
-        kappa = tree_count_from_zeta(zeta_bass(g), g.rank)
-        methods.append(("zeta-derivative", kappa))
+        methods.append(("zeta-derivative",
+                        tree_count_from_zeta(zeta_bass(g), g.rank)))
     methods.append(("kirchhoff", kirchhoff_tree_count(g)))
-    values = {v for _, v in methods}
-    agree = len(values) == 1
+    first, kappa = methods[0]
+    differing = [name for name, v in methods if v != kappa]
     if args.format == "json":
         _emit_json({
             "graph": _graph_json(g),
             "methods": {name: str(v) for name, v in methods},
-            "agree": agree,
-            "kappa": str(methods[-1][1]) if agree else None,
+            "agree": not differing,
+            "kappa": None if differing else str(kappa),
         })
     elif args.format == "csv":
         _emit_csv(("method", "kappa"), methods)
     else:
         for name, v in methods:
             print(f"{name}: {v}")
-        if not agree:
-            print("DISAGREEMENT", file=sys.stderr)
-    return 0 if agree else 1
+    for name in differing:
+        print(f"error: {name} != {first}", file=sys.stderr)
+    return 1 if differing else 0
 
 
 def _cmd_rank2(args) -> int:
@@ -261,6 +257,14 @@ def _cmd_rank2(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the sweep holds C(max_edges), whose line graph is its largest
+    if 2 * args.max_edges > DEFAULT_ENUM_CAP:
+        raise SizeCapError(
+            f"enumeration engine capped at {DEFAULT_ENUM_CAP} line-graph "
+            f"vertices, verify --max-edges {args.max_edges} reaches "
+            f"{2 * args.max_edges}; --max-edges {DEFAULT_ENUM_CAP // 2} "
+            "stays under it"
+        )
     graphs = connected_multigraphs(args.max_edges)
     failures = []
     for g in graphs:
@@ -353,15 +357,9 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SizeCapError as exc:
+    except ZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InputError, GraphValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (VerificationError, ConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 def main():

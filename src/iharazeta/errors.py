@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes, so the taxonomy mirrors the failure
-classes a caller can act on: bad input (2), an intentional size cap (3),
-and detected disagreement between things that must agree (1).
+One class per failure a caller can act on, each carrying the CLI's exit
+code for it: bad input (2), an intentional size cap (3), and a
+disagreement between computations that must agree (1).
 """
 
 
@@ -11,32 +11,27 @@ class ZetaError(Exception):
 
 
 class InputError(ZetaError):
-    """Malformed user input: unreadable file, bad edge list, bad spec string."""
+    """Input the package rejects: unreadable file, bad edge list, bad spec,
+    or a graph outside the standing hypotheses (connected, min degree 2)."""
+
+    exit_code = 2
 
 
 class ParameterError(InputError):
-    """A family or spec parameter outside its legal domain."""
-
-
-class GraphValidationError(ZetaError):
-    """Graph violates the standing hypotheses (connected, min degree >= 2)."""
-
-
-class DegenerateRankError(ZetaError):
-    """Rank too small for the zeta-derivative tree count; use Kirchhoff."""
+    """A family, spec or rank parameter outside its legal domain."""
 
 
 class SizeCapError(ZetaError):
     """Instance exceeds an intentional scale limit (not a failure)."""
 
-
-class ConsistencyError(ZetaError):
-    """Internal arithmetic cross-check failed; indicates a genuine bug."""
+    exit_code = 3
 
 
 class VerificationError(ZetaError):
-    """A mathematical cross-check between independent computations failed.
+    """A cross-check between independent computations failed.
 
     The message always names the check that failed, so a violation is
     diagnosable from the error alone.
     """
+
+    exit_code = 1

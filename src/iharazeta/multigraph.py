@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import GraphValidationError, InputError
+from .errors import InputError
 from .polydet import bareiss_int_det
 
 
@@ -188,10 +188,10 @@ def format_edge_list(g: Multigraph) -> str:
 def validate_zeta_input(g: Multigraph) -> None:
     """Enforce the standing hypotheses: connected with min degree >= 2."""
     if not table_is_connected(g.mult):
-        raise GraphValidationError("graph is not connected")
+        raise InputError("graph is not connected")
     mindeg = min(g.degrees())
     if mindeg < 2:
-        raise GraphValidationError(
+        raise InputError(
             f"graph has a vertex of degree {mindeg}; min degree 2 required"
         )
 
@@ -274,7 +274,7 @@ def kirchhoff_tree_count(g: Multigraph) -> int:
     with multiplicity. Exact integer arithmetic throughout.
     """
     if not table_is_connected(g.mult):
-        raise GraphValidationError("spanning trees need a connected graph")
+        raise InputError("spanning trees need a connected graph")
     n = g.n
     if n == 1:
         return 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .errors import DegenerateRankError, VerificationError
+from .errors import ParameterError, VerificationError
 from .intpoly import IntPoly
 
 
@@ -22,11 +22,11 @@ def tree_count_from_zeta(poly: IntPoly, r: int) -> int:
 
     kappa = (d^r/du^r poly)(1) / ((-1)^(r-1) 2^r r! (r-1)) for cycle rank
     r >= 2. At r = 1 the divisor is zero and the derivative carries no
-    information, so callers get DegenerateRankError and should fall back
-    to multigraph.kirchhoff_tree_count.
+    information, so r <= 1 is a ParameterError and callers should fall
+    back to multigraph.kirchhoff_tree_count.
     """
     if r <= 1:
-        raise DegenerateRankError(
+        raise ParameterError(
             f"rank {r} graphs determine no tree count from the zeta "
             "derivative; use kirchhoff_tree_count"
         )

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .errors import ConsistencyError, SizeCapError, VerificationError
+from .errors import SizeCapError, VerificationError
 from .intpoly import IntPoly
 from .multigraph import (
     Multigraph,
@@ -90,17 +90,19 @@ def _checked(poly: IntPoly, engine: str, g: Multigraph) -> IntPoly:
     """
     e, n = g.edge_count, g.n
     if poly.degree != 2 * e:
-        raise ConsistencyError(
+        raise VerificationError(
             f"{engine}: degree {poly.degree} != 2|E| = {2 * e}"
         )
     if poly.coeff(0) != 1:
-        raise ConsistencyError(f"{engine}: constant term {poly.coeff(0)} != 1")
+        raise VerificationError(
+            f"{engine}: constant term {poly.coeff(0)} != 1"
+        )
     m2 = [[-2 * x for x in row] for row in g.mult]
     for v in range(n):
         m2[v][v] = 4 * (g.degree(v) - g.loops[v]) - 3
     got, want = poly.eval_at(2), (-3) ** (e - n) * bareiss_int_det(m2)
     if got != want:
-        raise ConsistencyError(
+        raise VerificationError(
             f"{engine}: polynomial at u = 2 is {got}, "
             f"(-3)^(r-1) det(I - 2A + 4Q) gives {want}"
         )

@@ -231,8 +231,11 @@ def test_trees_json_family_vertex_numbering(capsys, spec, vertices, edges):
 def test_trees_disagreement(monkeypatch, capsys):
     real = cli.kirchhoff_tree_count
     monkeypatch.setattr(cli, "kirchhoff_tree_count", lambda g: real(g) + 1)
-    assert run(["trees", "--spec", "G(3,4)"]) == 1
-    assert "DISAGREEMENT" in capsys.readouterr().err
+    for fmt in ("human", "json", "csv"):
+        assert run(["trees", "--spec", "G(3,4)", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert "13" in captured.out
+        assert captured.err == "error: kirchhoff != closed-form\n"
 
 
 def test_trees_requires_exactly_one_source(tmp_path, capsys):
@@ -430,12 +433,19 @@ def test_enum_cap_exit_code(tmp_path, monkeypatch, capsys):
     assert run(["zeta", "--graph", path3, "--engine", "enum",
                 "--enum-cap", "5"]) == 3
     capsys.readouterr()
-    # verify runs enum under the default cap, and exits 3 above it too
+    # verify runs enum under the default cap, and refuses a sweep that
+    # would reach it before generating one
+    def never(max_edges):
+        raise AssertionError("verify generated an over-cap sweep")
+
     monkeypatch.setattr(cli, "DEFAULT_ENUM_CAP", 4)
+    monkeypatch.setattr(cli, "connected_multigraphs", never)
     assert run(["verify", "--max-edges", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "capped at 4 line-graph vertices" in captured.err
+    assert captured.err == ("error: enumeration engine capped at 4 "
+                            "line-graph vertices, verify --max-edges 3 "
+                            "reaches 6; --max-edges 2 stays under it\n")
 
 
 def test_enum_cap_is_checked_before_the_other_engines(
