@@ -225,6 +225,7 @@ def girth(g: Multigraph) -> int | None:
     # once from each side; with the tree paths from s it closes a walk of
     # length dist[v] + dist[w] + 1 that contains a cycle no longer, and a
     # root on a shortest cycle meets an edge where that walk is the cycle.
+    # No simple cycle is shorter than 3, so the first triangle ends it.
     adj = [g.neighbors(v) for v in range(g.n)]
     best = None
     for s in range(g.n):
@@ -239,6 +240,8 @@ def girth(g: Multigraph) -> int | None:
                     queue.append(w)
                 elif w != parent[v]:
                     length = dist[v] + dist[w] + 1
+                    if length == 3:
+                        return 3
                     if best is None or length < best:
                         best = length
     return best

@@ -11,7 +11,10 @@ computations of it live here:
                  line graph, summed as clow sequences (Mahajan and
                  Vinay 1997): det(I - uT) = prod_h (1 - W_h(u)), W_h
                  counting the closed walks from directed edge h back
-                 to h through directed edges > h only; O((2|E|)^3)
+                 to h through directed edges > h only, each up to
+                 length n - h (n = 2|E|), the degree of det(I - uT)
+                 restricted to the directed edges >= h: the sum over
+                 h of (n - h)^2 walk steps, about (2|E|)^3 / 3
                  integer operations.
 
 The oriented line graph is kept as two columns, (origin, terminus), over
@@ -173,7 +176,10 @@ def zeta_enum(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> IntPoly:
     c_k sums (-1)^(number of cycles) over all vertex-disjoint unions of
     directed cycles covering exactly k line-graph vertices; c_0 = 1.
     They are summed as clow sequences, det(I - uT) = prod_h (1 - W_h(u)),
-    in O((2|E|)^3) integer operations (_clow_coefficients). The cap
+    with head h's walks and its factor stopped at u^(n - h), n = 2|E|,
+    the degree the trailing minor on the directed edges >= h can reach:
+    the sum over h of (n - h)^2 walk steps, about (2|E|)^3 / 3 integer
+    operations (_clow_coefficients). The cap
     bounds the number of line-graph vertices (2|E|) and is checked
     before the line graph is built; exceeding it is a SizeCapError, an
     intentional scale limit rather than a failure.
@@ -189,7 +195,8 @@ def zeta_enum(g: Multigraph, cap: int = DEFAULT_ENUM_CAP) -> IntPoly:
 
 
 def _clow_coefficients(origin, terminus):
-    """[c_0 .. c_n] of det(I - uT) as prod_h (1 - W_h(u)), truncated at u^n.
+    """[c_0 .. c_n] of det(I - uT) as prod_h (1 - W_h(u)), each head's
+    factor truncated at the degree its trailing minor can reach.
 
     W_h(u) counts the closed walks from directed edge h back to h whose
     other directed edges are all > h, by length (Mahajan and Vinay's
@@ -200,33 +207,48 @@ def _clow_coefficients(origin, terminus):
     counts the walks from h to h inside {h, ...}; each splits uniquely
     at its returns to h into first-return walks, giving 1 / (1 - W_h).
     So det(M_{>=h}) = det(M_{>h}) (1 - W_h), and the factors telescope
-    from det(M_{>n-1}) = 1 to det(I - uT), a polynomial of degree <= n.
+    from det(M_{>n-1}) = 1 to det(I - uT).
+
+    Truncation: M_{>=h} is (n - h) x (n - h) with entries of degree
+    <= 1, so det(M_{>=h}) has degree <= top = n - h. Head h therefore
+    counts walks of length <= top only, and updates the product only up
+    to u^top. By induction, before head h the product is det(M_{>h}),
+    exact, of degree <= top - 1. The terms up to u^top of
+    det(M_{>h}) (1 - W_h) need only the terms of W_h up to u^top, and
+    they are all of det(M_{>=h}); so after head h the product is
+    det(M_{>=h}), exact.
 
     A walk ending at w extends to x exactly when origin[w] = terminus[x]
     and w != x ^ 1. So each step sums the counts of a {edge: count} row
     by the graph vertex origin[w], and the count entering x is that
     vertex's sum minus the backtrack w = x ^ 1; closing at h uses the
-    same formula. A step costs O(n) whatever the arc density, so the DP
-    costs O(n^3) integer additions and multiplications.
+    same formula. The row holds only h and the directed edges > h, so a
+    step costs O(n - h) whatever the arc density, and the DP takes the
+    sum over h of (n - h)^2 walk steps, about n^3 / 3 integer additions
+    and multiplications.
     """
     n = len(origin)
     into: dict[int, list[int]] = {}  # into[v]: the x > h ending at v
     c = [1] + [0] * n
     for h in reversed(range(n)):
+        top = n - h
         walks = []  # (k, u^k coefficient of W_h), nonzero only
         row = {h: 1}  # walks from h by their last directed edge
-        for k in range(1, n + 1):
+        for k in range(1, top + 1):
             at: dict[int, int] = {}
             for w, cnt in row.items():
                 at[origin[w]] = at.get(origin[w], 0) + cnt
             if closed := at.get(terminus[h], 0) - row.get(h ^ 1, 0):
                 walks.append((k, closed))
+            if k == top:
+                break
             row = {x: cnt for v, total in at.items() for x in into.get(v, ())
                    if (cnt := total - row.get(x ^ 1, 0))}
             if not row:
                 break
-        for k in range(n, 0, -1):  # c *= 1 - W_h, in place from the top
-            c[k] -= sum(cw * c[k - j] for j, cw in walks if j <= k)
+        prev = c[:top]  # det(M_{>h}): c[top:] is still 0
+        for j, cw in walks:  # c = prev * (1 - W_h) up to u^top
+            c[j:top + 1] = [a - cw * b for a, b in zip(c[j:top + 1], prev)]
         into.setdefault(terminus[h], []).append(h)
     return c
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
 
 from iharazeta.errors import InputError
+from iharazeta.families import gen_family, parse_family_spec
 from iharazeta.multigraph import (
     Multigraph,
     build_multigraph,
@@ -201,6 +203,42 @@ def test_girth_matches_networkx_on_random_simple_graphs():
         want = nx.girth(h)
         got = girth(build_multigraph(edges, n))
         assert got == (None if want == float("inf") else want), edges
+
+
+def every_root_girth(g):
+    """girth's rules, with a BFS from every root and no early stop."""
+    if any(g.loops):
+        return 1
+    if any(x >= 2 for row in g.mult for x in row):
+        return 2
+    best = None
+    for s in range(g.n):
+        dist, parent = {s: 0}, {s: None}
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if w not in dist:
+                    dist[w], parent[w] = dist[v] + 1, v
+                    queue.append(w)
+                elif w != parent[v]:
+                    length = dist[v] + dist[w] + 1
+                    best = length if best is None else min(best, length)
+    return best
+
+
+def test_girth_stops_at_a_triangle_without_changing_the_answer(sweep7):
+    specs = [f"K({n})" for n in range(3, 10)]
+    specs += [f"C({n})" for n in range(1, 13)]
+    specs += [f"M({n})" for n in range(4, 15, 2)]
+    specs += [f"Kb({m},{n})" for m in range(2, 5) for n in range(m, 7)]
+    graphs = [*sweep7, *(gen_family(parse_family_spec(s)) for s in specs)]
+    for g in graphs:
+        assert girth(g) == every_root_girth(g), g
+    # a 12-cycle through vertex 0 whose chord 9-11 makes the one triangle:
+    # BFS from the early roots sees only longer cycles first
+    g = build_multigraph([(i, (i + 1) % 12) for i in range(12)] + [(9, 11)], 12)
+    assert girth(g) == every_root_girth(g) == 3
 
 
 def test_bipartite_rules():

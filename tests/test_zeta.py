@@ -391,6 +391,19 @@ def test_enum_on_dense_line_graphs(spec):
     assert zeta_enum(g, cap=2 * g.edge_count) == closed_form(spec)
 
 
+@pytest.mark.parametrize(
+    "text", ["BQ(32)", "K(9)", "C(200)", "M(20)", "Kb(5,6)", "D(2,1,3)"])
+def test_clow_truncation_keeps_every_coefficient(text):
+    # head h walks and multiplies only up to u^(n - h); these inputs have
+    # long cycles, one dense vertex or many heads, where that stops most
+    # of the DP. Called directly, so no cap applies (K(9): 72 > 64)
+    origin, terminus = oriented_line_graph(gen_family(parse_family_spec(text)))
+    out = arcs(origin, terminus)
+    t = [[int(j in row) for j in range(len(out))] for row in out]
+    coeffs = zeta._clow_coefficients(origin, terminus)
+    assert tuple(coeffs) == reversed_charpoly(t).coeffs
+
+
 # --- polynomial-level invariants ---
 
 def test_poly_invariants_pass_on_engine_output():
