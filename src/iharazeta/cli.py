@@ -33,10 +33,9 @@ from .families import (
 )
 from .intpoly import IntPoly, format_poly
 from .multigraph import (
-    build_multigraph,
     format_edge_list,
     kirchhoff_tree_count,
-    parse_edge_list,
+    parse_edge_list_text,
     validate_zeta_input,
 )
 from .ranktwo import completeness_check
@@ -59,14 +58,7 @@ def _load_graph(path):
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    n_vertices, edges = parse_edge_list(text)
-    # min degree 2 implies |V| <= |E|; checked before any |V| x |V| table
-    if n_vertices > len(edges):
-        raise InputError(
-            f"graph has {n_vertices} vertices but {len(edges)} edges; a "
-            "connected graph of min degree 2 needs |V| <= |E|"
-        )
-    g = build_multigraph(edges, n_vertices)
+    g = parse_edge_list_text(text)
     validate_zeta_input(g)
     return g
 

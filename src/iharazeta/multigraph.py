@@ -135,20 +135,16 @@ def subdivide(n: int, slots, lengths) -> Multigraph:
     return build_multigraph(edges, n)
 
 
-# --- edge-list text format (the CLI's graph input) ---
+# --- edge-list text format (the one reader, shared by the CLI and library) ---
 
 def parse_edge_list_text(text: str) -> Multigraph:
     """Parse the text format: header ``n <count>``, then ``u v`` lines.
 
     ``u u`` denotes a loop, repeated lines accumulate multiplicity, ``#``
-    starts a comment (whole-line or trailing).
+    starts a comment (whole-line or trailing). A header count above the
+    number of edge lines is refused before the |V| x |V| table is built:
+    min degree 2 forces |V| <= |E|.
     """
-    n_vertices, edges = parse_edge_list(text)
-    return build_multigraph(edges, n_vertices)
-
-
-def parse_edge_list(text: str):
-    """(n_vertices, [(u, v), ...]) from the text format; builds nothing."""
     n_vertices = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -174,7 +170,12 @@ def parse_edge_list(text: str):
             raise InputError(f"line {lineno}: bad vertex index") from exc
     if n_vertices is None:
         raise InputError("empty graph file (missing 'n <vertex_count>' header)")
-    return n_vertices, edges
+    if n_vertices > len(edges):
+        raise InputError(
+            f"graph has {n_vertices} vertices but {len(edges)} edges; a "
+            "connected graph of min degree 2 needs |V| <= |E|"
+        )
+    return build_multigraph(edges, n_vertices)
 
 
 def format_edge_list(g: Multigraph) -> str:

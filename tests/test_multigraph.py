@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from iharazeta import multigraph
 from iharazeta.errors import InputError
 from iharazeta.families import gen_family, parse_family_spec
 from iharazeta.multigraph import (
@@ -17,7 +18,6 @@ from iharazeta.multigraph import (
     girth,
     is_bipartite,
     kirchhoff_tree_count,
-    parse_edge_list,
     parse_edge_list_text,
     table_is_connected,
     validate_zeta_input,
@@ -118,10 +118,17 @@ def test_parse_basic():
     assert parse_edge_list_text("n 3\n0 1\n1 2\n2 0\n") == cycle(3)
 
 
-def test_parse_edge_list_gives_counts_before_building():
-    # a header count no edge can support is returned as is, not allocated
-    assert parse_edge_list("n 3000\n") == (3000, [])
-    assert parse_edge_list("n 2\n0 1\n1 1 # loop\n") == (2, [(0, 1), (1, 1)])
+def test_parse_refuses_more_vertices_than_edges_before_building(monkeypatch):
+    g = parse_edge_list_text("n 2\n0 1\n1 1 # loop\n")
+    assert g == build_multigraph([(0, 1), (1, 1)], 2)
+
+    def no_table(*args):
+        raise AssertionError("built a table")
+
+    # min degree 2 forces |V| <= |E|; no 3000 x 3000 table is allocated
+    monkeypatch.setattr(multigraph, "build_multigraph", no_table)
+    with pytest.raises(InputError, match="^graph has 3000 vertices but 0 edges; "):
+        parse_edge_list_text("n 3000\n")
 
 
 def test_parse_comments_and_blank_lines():
