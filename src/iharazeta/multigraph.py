@@ -7,12 +7,15 @@ the adjacency matrix gets 2 on the diagonal per loop), which is load-bearing
 for engine agreement on bouquets and dumbbells.
 
 Everything here is immutable; a Multigraph can be hashed and used as a
-dictionary key.
+dictionary key. Its entries must be of type int (float, str and bool are
+refused, not converted); its degrees and edge count are stored at
+construction.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 from .errors import InputError
 from .polydet import bareiss_int_det
@@ -21,28 +24,29 @@ from .polydet import bareiss_int_det
 class Multigraph:
     """Immutable multigraph: loop counts plus a symmetric multiplicity table."""
 
-    __slots__ = ("n", "loops", "mult")
+    __slots__ = ("n", "loops", "mult", "_degrees", "edge_count")
 
     def __init__(self, n: int, loops, mult):
         if n < 1:
             raise InputError("a multigraph needs at least one vertex")
-        loops = tuple(int(x) for x in loops)
-        mult = tuple(tuple(int(x) for x in row) for row in mult)
-        if len(loops) != n or len(mult) != n or any(len(r) != n for r in mult):
+        loops, mult = tuple(loops), tuple(map(tuple, mult))
+        if len(loops) != n or len(mult) != n or set(map(len, mult)) != {n}:
             raise InputError("table dimensions do not match vertex count")
-        if any(x < 0 for x in loops):
+        if not {int}.issuperset(map(type, chain(loops, *mult))):
+            raise InputError("loop counts and multiplicities must be ints")
+        if min(loops) < 0:
             raise InputError("negative loop count")
-        for i in range(n):
-            if mult[i][i] != 0:
-                raise InputError("diagonal of the multiplicity table must be 0")
-            for j in range(n):
-                if mult[i][j] < 0:
-                    raise InputError("negative edge multiplicity")
-                if mult[i][j] != mult[j][i]:
-                    raise InputError("multiplicity table must be symmetric")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "loops", loops)
-        object.__setattr__(self, "mult", mult)
+        if any(map(tuple.__getitem__, mult, range(n))):
+            raise InputError("diagonal of the multiplicity table must be 0")
+        if min(map(min, mult)) < 0:
+            raise InputError("negative edge multiplicity")
+        if mult != tuple(zip(*mult)):
+            raise InputError("multiplicity table must be symmetric")
+        degrees = tuple(2 * x + sum(row) for x, row in zip(loops, mult))
+        for name, value in (("n", n), ("loops", loops), ("mult", mult),
+                            ("_degrees", degrees),
+                            ("edge_count", sum(degrees) // 2)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multigraph is immutable")
@@ -58,21 +62,13 @@ class Multigraph:
     def __repr__(self):
         return f"Multigraph(n={self.n}, edges={self.edge_list()})"
 
-    # --- counts and degrees ---
-
-    @property
-    def edge_count(self) -> int:
-        e = sum(self.loops)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                e += self.mult[i][j]
-        return e
+    # --- counts and degrees, stored at construction ---
 
     def degree(self, v: int) -> int:
-        return 2 * self.loops[v] + sum(self.mult[v])
+        return self._degrees[v]
 
     def degrees(self):
-        return tuple(self.degree(v) for v in range(self.n))
+        return self._degrees
 
     @property
     def rank(self) -> int:
@@ -279,11 +275,8 @@ def kirchhoff_tree_count(g: Multigraph) -> int:
     """
     if not table_is_connected(g.mult):
         raise InputError("spanning trees need a connected graph")
-    n = g.n
-    if n == 1:
-        return 1
-    lap = [[-g.mult[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        lap[i][i] = sum(g.mult[i])
-    minor = [row[1:] for row in lap[1:]]
+    minor = []  # the Laplacian without vertex 0's row and column
+    for v in range(1, g.n):
+        minor.append([-x for x in g.mult[v][1:]])
+        minor[-1][v - 1] = g.degree(v) - 2 * g.loops[v]
     return bareiss_int_det(minor)

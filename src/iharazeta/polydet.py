@@ -13,7 +13,9 @@ from .intpoly import IntPoly
 
 
 def bareiss_int_det(matrix) -> int:
-    """Exact determinant of a square matrix of Python ints.
+    """Exact determinant of a square matrix (a sequence of rows) of Python
+    ints. The caller's matrix is left unmodified: the elimination runs on
+    one copy, list(row) per row.
 
     Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) with lazy
     row scaling. Step k divides by div[k], the pivot of step k - 1
@@ -30,7 +32,7 @@ def bareiss_int_det(matrix) -> int:
     search and the multiplier test may read stale rows; a row swap swaps
     the stamps with the rows.
     """
-    m = _square(matrix)
+    m = [list(row) for row in _square(matrix)]
     n = len(m)
     if n == 0:
         return 1
@@ -75,7 +77,9 @@ def bareiss_int_det(matrix) -> int:
 
 
 def reversed_charpoly(matrix) -> IntPoly:
-    """det(I - uM) for a square matrix M of Python ints, exactly.
+    """det(I - uM) for a square matrix M (a sequence of rows) of Python
+    ints, exactly. The caller's matrix is left unmodified: the bound is read
+    from its rows, and the reduction modulo P is the only copy.
 
     This is the characteristic polynomial det(xI - M) with its coefficient
     list reversed, computed in one pass modulo a single prime P > 2B,
@@ -101,10 +105,9 @@ def reversed_charpoly(matrix) -> IntPoly:
 
 
 def _square(matrix):
-    m = [list(map(int, row)) for row in matrix]
-    if any(len(row) != len(m) for row in m):
+    if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix must be square")
-    return m
+    return matrix
 
 
 def _charpoly_mod(m, p: int):

@@ -130,11 +130,7 @@ def _labeled_tables(n, max_edges, min_degree):
             if close_row(v, budget):
                 if v + 1 == n:
                     if table_is_connected(mult):
-                        yield Multigraph(
-                            n,
-                            tuple(loops),
-                            tuple(tuple(row) for row in mult),
-                        )
+                        yield Multigraph(n, loops, mult)  # copies both
                 else:
                     yield from fill_cell(v + 1, v + 1, budget)
             return

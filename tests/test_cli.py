@@ -309,6 +309,26 @@ def test_verify_json(capsys):
     }
 
 
+def test_verify_computes_one_reference_determinant_per_graph(
+        monkeypatch, capsys):
+    # the three engines' output checks share one value at u = 2 per graph;
+    # a direct engine call outside verify still computes its own
+    calls = []
+    real = zeta.bareiss_int_det
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(zeta, "bareiss_int_det", counting)
+    assert run(["verify", "--max-edges", "4", "--format", "json"]) == 0
+    sweep = connected_multigraphs(4)
+    assert json.loads(capsys.readouterr().out)["graphs"] == len(sweep)
+    assert calls == [g.n for g in sweep]
+    zeta.zeta_bass(sweep[-1])
+    assert len(calls) == len(sweep) + 1
+
+
 def test_verify_reports_engine_mismatch(monkeypatch, capsys):
     monkeypatch.setitem(cli._ENGINES, "linedet", lambda g: IntPoly((1,)))
     assert run(["verify", "--max-edges", "2"]) == 1

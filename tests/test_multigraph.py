@@ -10,7 +10,12 @@ import pytest
 
 from iharazeta import multigraph
 from iharazeta.errors import InputError
-from iharazeta.families import gen_family, parse_family_spec
+from iharazeta.families import (
+    FAMILIES,
+    NAMED_SMALL,
+    gen_family,
+    parse_family_spec,
+)
 from iharazeta.multigraph import (
     Multigraph,
     build_multigraph,
@@ -62,6 +67,15 @@ def test_rejects_bad_entries():
         Multigraph(2, (0, 0), ((0, 1), (2, 0)))
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", True])
+def test_rejects_entries_that_are_not_ints(bad):
+    # refused, not converted: int() would read 0.5 as 0 and "1" as 1
+    with pytest.raises(InputError, match="must be ints"):
+        Multigraph(2, (bad, 0), ((0, 1), (1, 0)))
+    with pytest.raises(InputError, match="must be ints"):
+        Multigraph(2, (0, 0), ((0, bad), (bad, 0)))
+
+
 def test_immutable_and_hashable():
     g = cycle(3)
     with pytest.raises(AttributeError):
@@ -91,6 +105,27 @@ def test_loop_adds_two_to_degree():
     assert g.degree(1) == 1
     assert g.degrees() == (3, 1)
     assert g.edge_count == 2
+
+
+# one small instance per family
+SMALL_FAMILY_SPECS = [
+    "C(3)", "K(4)", "Kl(3,1)", "Kb(2,3)", "O(6)", "B(6)", "M(6)", "G(2,3)",
+    "Gp(3,4,1)", "H(2,3,2)", "BQ(2)", "D(1,1,1)", "T(1,0,0,2,2,0)",
+    sorted(NAMED_SMALL)[0],
+]
+
+
+def test_stored_counts_match_the_table(sweep7):
+    specs = [parse_family_spec(text) for text in SMALL_FAMILY_SPECS]
+    assert {spec.tag for spec in specs} == set(FAMILIES)
+    for g in [*sweep7, *map(gen_family, specs)]:
+        n = g.n
+        degrees = tuple(2 * g.loops[v] + sum(g.mult[v]) for v in range(n))
+        edges = sum(g.loops) + sum(
+            g.mult[i][j] for i in range(n) for j in range(i + 1, n))
+        assert g.degrees() == degrees
+        assert tuple(map(g.degree, range(n))) == degrees
+        assert g.edge_count == edges == len(g.edge_list())
 
 
 def test_rank_and_edge_count():

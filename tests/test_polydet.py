@@ -86,6 +86,24 @@ def test_bareiss_row_swap_sign():
         assert bareiss_int_det(swapped) == -bareiss_int_det(m)
 
 
+@pytest.mark.parametrize("row_type", [list, tuple])
+def test_caller_matrix_is_left_unmodified(row_type):
+    # both work on their own copy: Bareiss swaps and rescales rows, the
+    # kernel reduces and permutes them modulo its prime
+    rng = random.Random(16)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        cells = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(n)]
+                 for _ in range(n)]
+        cells[0][0] = 0  # a pivot search at the first step
+        matrix = [row_type(row) for row in cells]
+        rows = list(matrix)
+        bareiss_int_det(matrix)
+        reversed_charpoly(matrix)
+        assert matrix == [row_type(row) for row in cells]
+        assert all(a is b for a, b in zip(matrix, rows))
+
+
 def at_point(m, x):
     """det(I - xM) by Bareiss: the reference the kernel is checked against."""
     n = len(m)
