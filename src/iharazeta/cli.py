@@ -43,7 +43,6 @@ from .smallgraphs import connected_multigraphs
 from .trees import tree_count_from_zeta
 from .zeta import (
     DEFAULT_ENUM_CAP,
-    one_reference_at_two,
     poly_invariants,
     zeta_bass,
     zeta_enum,
@@ -97,21 +96,19 @@ def _run_engines(g, names, enum_cap):
     Order: enum runs first, so its SizeCapError (not caught) rejects g
     before any other engine runs. Fault: an engine's VerificationError
     (its output check, zeta._checked) becomes a reason and that engine
-    gives no polynomial; the others still run. The checks share one value
-    at u = 2 (zeta.one_reference_at_two). Comparison: polys holds
+    gives no polynomial; the others still run. Comparison: polys holds
     the polynomials in names order, and each differing from the first
     gives "{name} != {first}".
     Invariants: poly_invariants checks that first polynomial once; a
     VerificationError becomes a reason. g passes iff reasons is empty.
     """
     polys, reasons = {}, []
-    with one_reference_at_two():
-        for name in sorted(names, key=lambda name: name != "enum"):
-            kwargs = {"cap": enum_cap} if name == "enum" else {}
-            try:
-                polys[name] = _ENGINES[name](g, **kwargs)
-            except VerificationError as exc:
-                reasons.append(str(exc))
+    for name in sorted(names, key=lambda name: name != "enum"):
+        kwargs = {"cap": enum_cap} if name == "enum" else {}
+        try:
+            polys[name] = _ENGINES[name](g, **kwargs)
+        except VerificationError as exc:
+            reasons.append(str(exc))
     polys = {name: polys[name] for name in names if name in polys}
     if polys:
         first, poly = next(iter(polys.items()))

@@ -1,7 +1,8 @@
 """Dense univariate polynomials with arbitrary-precision integer coefficients.
 
 Every zeta reciprocal in this package is an IntPoly. Coefficients are plain
-Python ints, index = power of u, so all arithmetic is exact by construction.
+Python ints (any other type is refused, not converted), index = power of u,
+so all arithmetic is exact by construction.
 The class is immutable and hashable, so polynomials can be set members and
 dict keys.
 """
@@ -17,7 +18,9 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
+        cs = list(coeffs)
+        if not {int}.issuperset(map(type, cs)):
+            raise TypeError("IntPoly coefficients must be ints")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

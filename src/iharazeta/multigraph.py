@@ -6,10 +6,12 @@ a per-vertex counter. Degree follows the convention that a loop adds 2 (so
 the adjacency matrix gets 2 on the diagonal per loop), which is load-bearing
 for engine agreement on bouquets and dumbbells.
 
-Everything here is immutable; a Multigraph can be hashed and used as a
-dictionary key. Its entries must be of type int (float, str and bool are
-refused, not converted); its degrees and edge count are stored at
-construction.
+A Multigraph is immutable and can be hashed and used as a dictionary key.
+Its entries must be of type int (float, str and bool are refused, not
+converted); its degrees and edge count are stored at construction, and
+its zeta value at u = 2 is computed on first use and kept. Bass's vertex
+matrix I - uA + u^2 Q is built in one place, vertex_matrix: at u = 2 for
+that value, at u = 1 (the Laplacian) for the spanning-tree count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .polydet import bareiss_int_det
 class Multigraph:
     """Immutable multigraph: loop counts plus a symmetric multiplicity table."""
 
-    __slots__ = ("n", "loops", "mult", "_degrees", "edge_count")
+    __slots__ = ("n", "loops", "mult", "_degrees", "edge_count", "_at_two")
 
     def __init__(self, n: int, loops, mult):
         if n < 1:
@@ -45,7 +47,8 @@ class Multigraph:
         degrees = tuple(2 * x + sum(row) for x, row in zip(loops, mult))
         for name, value in (("n", n), ("loops", loops), ("mult", mult),
                             ("_degrees", degrees),
-                            ("edge_count", sum(degrees) // 2)):
+                            ("edge_count", sum(degrees) // 2),
+                            ("_at_two", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -88,6 +91,25 @@ class Multigraph:
     def neighbors(self, v: int):
         """Distinct non-loop neighbours of v in the simple support."""
         return [u for u in range(self.n) if self.mult[v][u] > 0]
+
+    def zeta_at_two(self) -> int:
+        """(-3)^(r-1) det(I - 2A + 4Q), the zeta reciprocal at u = 2 (for
+        |E| >= |V|): computed on first use and kept, so every engine's check
+        on this object shares one determinant; an equal graph built anew
+        computes its own. Equality and hashing ignore it."""
+        if self._at_two is None:
+            det = bareiss_int_det(vertex_matrix(self, 2))
+            object.__setattr__(self, "_at_two", (-3) ** (self.rank - 1) * det)
+        return self._at_two
+
+
+def vertex_matrix(g: Multigraph, u: int):
+    """Bass's I - uA + u^2 Q at an integer u, as rows of ints: A has 2 per
+    loop on its diagonal (a loop adds 2 to a degree), Q = D - I."""
+    rows = [[-u * x for x in row] for row in g.mult]
+    for v, row in enumerate(rows):
+        row[v] = 1 - 2 * u * g.loops[v] + u * u * (g.degree(v) - 1)
+    return rows
 
 
 def build_multigraph(edge_list, n_vertices: int) -> Multigraph:
@@ -275,8 +297,6 @@ def kirchhoff_tree_count(g: Multigraph) -> int:
     """
     if not table_is_connected(g.mult):
         raise InputError("spanning trees need a connected graph")
-    minor = []  # the Laplacian without vertex 0's row and column
-    for v in range(1, g.n):
-        minor.append([-x for x in g.mult[v][1:]])
-        minor[-1][v - 1] = g.degree(v) - 2 * g.loops[v]
-    return bareiss_int_det(minor)
+    # the Laplacian D - A is the vertex matrix at u = 1 (a loop's 2 in D
+    # and in A cancel); its minor drops vertex 0's row and column
+    return bareiss_int_det([row[1:] for row in vertex_matrix(g, 1)[1:]])

@@ -31,16 +31,15 @@ changes neither det(I - uM) nor the bound, hence not the prime. The
 enumeration engine shares no arithmetic with them in computing its
 polynomial; it counts walks with integer additions and multiplications
 only, and is capped by the number of directed edges. All three return
-through one output check, _checked, whose value at u = 2 is a |V| x |V|
-Bareiss determinant of the graph's own tables.
+through one output check, _checked, whose value at u = 2 is the graph's
+Multigraph.zeta_at_two: one |V| x |V| Bareiss determinant per graph
+object, shared by every engine run on it.
 The exact agreement of all three on every small multigraph is the
 package's core acceptance test.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from math import prod
 
 from .errors import SizeCapError, VerificationError
@@ -51,7 +50,7 @@ from .multigraph import (
     is_bipartite,
     validate_zeta_input,
 )
-from .polydet import bareiss_int_det, reversed_charpoly
+from .polydet import reversed_charpoly
 
 DEFAULT_ENUM_CAP = 64
 
@@ -88,12 +87,11 @@ def oriented_line_graph(g: Multigraph) -> tuple[tuple, tuple]:
 
 def _checked(poly: IntPoly, engine: str, g: Multigraph) -> IntPoly:
     """poly, after checking that its degree is 2|E|, its constant term 1
-    and its value at u = 2 (-3)^(r-1) det(I - 2A + 4Q), as for Bass's
-    (1 - u^2)^(r-1) det(I - Au + Qu^2); by Ihara-Bass that value is also
-    det(I - 2T). The matrix has 4(d_v - loops_v) - 3 on its diagonal and
-    -2 m_vw off it. A failure is an engine fault.
+    and its value at u = 2 g.zeta_at_two(), (-3)^(r-1) det(I - 2A + 4Q)
+    as for Bass's (1 - u^2)^(r-1) det(I - Au + Qu^2); by Ihara-Bass that
+    value is also det(I - 2T). A failure is an engine fault.
     """
-    e, n = g.edge_count, g.n
+    e = g.edge_count
     if poly.degree != 2 * e:
         raise VerificationError(
             f"{engine}: degree {poly.degree} != 2|E| = {2 * e}"
@@ -102,34 +100,12 @@ def _checked(poly: IntPoly, engine: str, g: Multigraph) -> IntPoly:
         raise VerificationError(
             f"{engine}: constant term {poly.coeff(0)} != 1"
         )
-    at_two = _AT_TWO.get({})  # outside one_reference_at_two, used once
-    if (want := at_two.get(g)) is None:
-        m2 = [[-2 * x for x in row] for row in g.mult]
-        for v in range(n):
-            m2[v][v] = 4 * (g.degree(v) - g.loops[v]) - 3
-        want = at_two[g] = (-3) ** (e - n) * bareiss_int_det(m2)
-    if (got := poly.eval_at(2)) != want:
+    if (got := poly.eval_at(2)) != (want := g.zeta_at_two()):
         raise VerificationError(
             f"{engine}: polynomial at u = 2 is {got}, "
             f"(-3)^(r-1) det(I - 2A + 4Q) gives {want}"
         )
     return poly
-
-
-# {graph: its value at u = 2} of the innermost one_reference_at_two block
-_AT_TWO: ContextVar[dict] = ContextVar("_AT_TWO")
-
-
-@contextmanager
-def one_reference_at_two():
-    """In this block, the output checks of the engines run on a graph share
-    one value at u = 2, computed by the first check that needs it and
-    dropped when the block ends."""
-    token = _AT_TWO.set({})
-    try:
-        yield
-    finally:
-        _AT_TWO.reset(token)
 
 
 # --- engine A: three-term determinant ---

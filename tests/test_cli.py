@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import iharazeta
-from iharazeta import cli, families, zeta
+from iharazeta import cli, families, multigraph, zeta
 from iharazeta.cli import run
 from iharazeta.families import gen_family, parse_family_spec
 from iharazeta.intpoly import IntPoly, format_poly
@@ -312,15 +312,15 @@ def test_verify_json(capsys):
 def test_verify_computes_one_reference_determinant_per_graph(
         monkeypatch, capsys):
     # the three engines' output checks share one value at u = 2 per graph;
-    # a direct engine call outside verify still computes its own
+    # an engine call on an equal graph built anew computes its own
     calls = []
-    real = zeta.bareiss_int_det
+    real = multigraph.bareiss_int_det
 
     def counting(matrix):
         calls.append(len(matrix))
         return real(matrix)
 
-    monkeypatch.setattr(zeta, "bareiss_int_det", counting)
+    monkeypatch.setattr(multigraph, "bareiss_int_det", counting)
     assert run(["verify", "--max-edges", "4", "--format", "json"]) == 0
     sweep = connected_multigraphs(4)
     assert json.loads(capsys.readouterr().out)["graphs"] == len(sweep)

@@ -21,6 +21,15 @@ def test_normalization_strips_trailing_zeros():
     assert IntPoly().degree == -1
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.9, True, "1"])
+def test_refuses_coefficients_that_are_not_ints(bad):
+    # refused, not converted: int() would read 0.5 as 0 and 2.9 as 2
+    with pytest.raises(TypeError, match="must be ints"):
+        IntPoly((bad,))
+    with pytest.raises(TypeError, match="must be ints"):
+        IntPoly((1, bad))
+
+
 def test_constructors():
     assert IntPoly().is_zero()
     assert IntPoly([-7]) == IntPoly((-7,))

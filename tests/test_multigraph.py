@@ -26,6 +26,7 @@ from iharazeta.multigraph import (
     parse_edge_list_text,
     table_is_connected,
     validate_zeta_input,
+    vertex_matrix,
 )
 
 
@@ -86,6 +87,15 @@ def test_immutable_and_hashable():
     assert g != cycle(4)
 
 
+def test_stored_reference_leaves_equality_and_hash_alone():
+    g = complete(4)
+    assert g.zeta_at_two() == g.zeta_at_two()
+    fresh = complete(4)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert {g: "k4"}[fresh] == "k4"
+    assert fresh.zeta_at_two() == g.zeta_at_two()
+
+
 def test_build_rejects_bad_edges():
     with pytest.raises(InputError):
         build_multigraph([(0, 2)], 2)
@@ -126,6 +136,21 @@ def test_stored_counts_match_the_table(sweep7):
         assert g.degrees() == degrees
         assert tuple(map(g.degree, range(n))) == degrees
         assert g.edge_count == edges == len(g.edge_list())
+
+
+def test_vertex_matrix_from_the_edge_list():
+    # I - uA + u^2 Q, rebuilt edge by edge: a loop puts 2 on A's diagonal
+    # and adds 2 to its vertex's degree, Q = D - I
+    g = build_multigraph([(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 2)], 3)
+    for u in (-1, 0, 1, 2, 3):
+        a = [[0] * g.n for _ in range(g.n)]
+        for v, w in g.edge_list():
+            a[v][w] += 1
+            a[w][v] += 1
+        want = [[(v == w) - u * a[v][w]
+                 + u * u * (v == w) * (sum(a[v]) - 1) for w in range(g.n)]
+                for v in range(g.n)]
+        assert vertex_matrix(g, u) == want
 
 
 def test_rank_and_edge_count():

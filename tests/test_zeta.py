@@ -17,7 +17,7 @@ from iharazeta.families import (
 )
 from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import build_multigraph, is_bipartite
-from iharazeta import zeta
+from iharazeta import multigraph, zeta
 from iharazeta.polydet import bareiss_int_det, reversed_charpoly
 from iharazeta.smallgraphs import connected_multigraphs
 from iharazeta.zeta import (
@@ -291,11 +291,33 @@ def test_wrong_kernel_coefficient_fails_the_check_point(monkeypatch, engine):
 def test_every_engine_runs_the_check_at_two(monkeypatch, engine):
     # a wrong reference value rejects a correct polynomial, so each engine
     # must have compared its output with it
-    monkeypatch.setattr(zeta, "bareiss_int_det",
+    monkeypatch.setattr(multigraph, "bareiss_int_det",
                         lambda matrix: bareiss_int_det(matrix) + 1)
     with pytest.raises(VerificationError,
                        match=rf"^{ENGINE_NAMES[engine]}: .* at u = 2"):
         engine(two_cycles_joined(3, 4))
+
+
+def test_engines_on_one_graph_object_compute_one_reference(monkeypatch):
+    # the value at u = 2 is kept on the graph object: the three engines'
+    # checks on it share one determinant, and an equal graph built anew
+    # computes its own
+    calls = []
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return bareiss_int_det(matrix)
+
+    monkeypatch.setattr(multigraph, "bareiss_int_det", counting)
+    g = two_cycles_joined(3, 4)
+    for engine in (zeta_bass, zeta_line_det, zeta_enum):
+        engine(g)
+    assert calls == [g.n]
+    fresh = two_cycles_joined(3, 4)
+    assert fresh == g and fresh is not g
+    zeta_bass(fresh)
+    zeta_enum(fresh)
+    assert calls == [g.n, g.n]
 
 
 @pytest.mark.parametrize("engine", [zeta_bass, zeta_line_det])
