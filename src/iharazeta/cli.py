@@ -215,17 +215,18 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_rank2(args) -> int:
-    checked = completeness_check(args.max_edges)  # bad decode raises: exit 1
+    # a bad decode or an inexact tree-count division raises: exit 1
+    checked = completeness_check(args.max_edges)
     rows = [
         {
-            "spec": str(r.spec),
-            "edges": r.edge_count,
-            "leading_coeff": str(r.poly.leading_coeff),
-            "girth_readout": r.poly.first_nonzero_power(start=1),
-            "tree_count": str(r.tree_count),
-            "poly_hash": _poly_hash(r.poly),
+            "spec": str(spec),
+            "edges": poly.degree // 2,
+            "leading_coeff": str(poly.leading_coeff),
+            "girth_readout": poly.first_nonzero_power(start=1),
+            "tree_count": str(tree_count_from_zeta(poly, 2)),
+            "poly_hash": _poly_hash(poly),
         }
-        for r in checked
+        for spec, poly in checked
     ]
     if args.format == "json":
         _emit_json({

@@ -181,7 +181,7 @@ class IntPoly:
     def __eq__(self, other):
         if isinstance(other, IntPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
+        if type(other) is int:
             return self.coeffs == (() if other == 0 else (other,))
         return NotImplemented
 
@@ -198,7 +198,7 @@ class IntPoly:
 def _coerce(x):
     if isinstance(x, IntPoly):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return IntPoly((x,))
     return NotImplemented
 

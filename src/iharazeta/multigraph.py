@@ -93,10 +93,15 @@ class Multigraph:
         return [u for u in range(self.n) if self.mult[v][u] > 0]
 
     def zeta_at_two(self) -> int:
-        """(-3)^(r-1) det(I - 2A + 4Q), the zeta reciprocal at u = 2 (for
-        |E| >= |V|): computed on first use and kept, so every engine's check
-        on this object shares one determinant; an equal graph built anew
-        computes its own. Equality and hashing ignore it."""
+        """(-3)^(r-1) det(I - 2A + 4Q), the zeta reciprocal at u = 2:
+        computed on first use and kept, so every engine's check on this
+        object shares one determinant; an equal graph built anew computes
+        its own. Equality and hashing ignore it. A graph with |E| < |V| is
+        refused before any determinant."""
+        if self.rank < 1:
+            raise InputError(f"graph has {self.n} vertices but "
+                             f"{self.edge_count} edges; zeta at u = 2 needs "
+                             "|V| <= |E|")
         if self._at_two is None:
             det = bareiss_int_det(vertex_matrix(self, 2))
             object.__setattr__(self, "_at_two", (-3) ** (self.rank - 1) * det)
@@ -113,7 +118,8 @@ def vertex_matrix(g: Multigraph, u: int):
 
 
 def build_multigraph(edge_list, n_vertices: int) -> Multigraph:
-    """Accumulate an edge list into a Multigraph; (v, v) pairs are loops."""
+    """Accumulate an edge list into a Multigraph; (v, v) pairs are loops.
+    Vertex ids must be of type int: other types are refused, not converted."""
     if n_vertices < 1:
         raise InputError("n_vertices must be >= 1")
     loops = [0] * n_vertices
@@ -123,7 +129,8 @@ def build_multigraph(edge_list, n_vertices: int) -> Multigraph:
             u, v = pair
         except (TypeError, ValueError) as exc:
             raise InputError(f"edge {pair!r} is not a vertex pair") from exc
-        u, v = int(u), int(v)
+        if type(u) is not int or type(v) is not int:
+            raise InputError(f"edge {pair!r} has a vertex id that is not an int")
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise InputError(
                 f"edge ({u}, {v}) out of range for {n_vertices} vertices"
@@ -293,10 +300,12 @@ def kirchhoff_tree_count(g: Multigraph) -> int:
     """Spanning trees by the matrix-tree theorem (Laplacian cofactor).
 
     Loops are ignored (a tree cannot contain one); parallel edges count
-    with multiplicity. Exact integer arithmetic throughout.
+    with multiplicity. Exact integer arithmetic throughout; the cofactor
+    is 0 exactly when the graph is disconnected, and that 0 is refused.
     """
-    if not table_is_connected(g.mult):
-        raise InputError("spanning trees need a connected graph")
     # the Laplacian D - A is the vertex matrix at u = 1 (a loop's 2 in D
     # and in A cancel); its minor drops vertex 0's row and column
-    return bareiss_int_det([row[1:] for row in vertex_matrix(g, 1)[1:]])
+    count = bareiss_int_det([row[1:] for row in vertex_matrix(g, 1)[1:]])
+    if count == 0:
+        raise InputError("spanning trees need a connected graph")
+    return count

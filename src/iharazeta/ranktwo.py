@@ -11,18 +11,16 @@ SharedPath when its three internal paths run p <= m - p <= n - p.
 decode_rank2 inverts the three closed forms: it reads the canonical spec
 back off a reciprocal zeta polynomial, so the zeta function determines a
 rank-two graph at every size the closed forms hold. completeness_check
-decodes the engine output of every canonical spec up to an edge budget;
-its rows carry the polynomial and the tree count.
+decodes the engine output of every canonical spec up to an edge budget
+and returns each spec with its polynomial; every column of the CLI's
+rank2 table is a readout of that polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParameterError, VerificationError
 from .families import FamilySpec, gen_family
 from .intpoly import IntPoly
-from .multigraph import kirchhoff_tree_count
 from .zeta import zeta_bass
 
 RANK_TWO_TAGS = ("DoubleCycle", "SharedPath", "Handcuff")
@@ -94,37 +92,24 @@ def decode_rank2(poly: IntPoly) -> FamilySpec | None:
     return FamilySpec("SharedPath", (m, n, m + n - half))
 
 
-@dataclass(frozen=True)
-class RankTwoRow:
-    spec: FamilySpec
-    edge_count: int
-    poly: IntPoly
-    tree_count: int
-
-
-def completeness_check(max_edges: int) -> tuple[RankTwoRow, ...]:
+def completeness_check(max_edges: int) -> tuple[tuple[FamilySpec, IntPoly], ...]:
     """Decode the Bass polynomial of every canonical rank-two spec up to
-    max_edges edges back to that spec.
+    max_edges edges back to that spec, and return the (spec, polynomial)
+    pairs in enumeration order.
 
     A spec that decodes to anything else raises VerificationError naming
     both. Since the decoder is a function, success also shows the
-    polynomials pairwise distinct. Each row carries the spec's
-    polynomial and its Kirchhoff tree count.
+    polynomials pairwise distinct. The edge count, leading coefficient,
+    girth and tree count are all readouts of the polynomial.
     """
-    rows = []
+    pairs = []
     for spec in enumerate_rank2(max_edges):
-        g = gen_family(spec)
-        poly = zeta_bass(g)
+        poly = zeta_bass(gen_family(spec))
         decoded = decode_rank2(poly)
         if decoded != spec:
             raise VerificationError(
                 f"the zeta polynomial of rank-two spec {spec} decodes to "
                 f"{decoded}"
             )
-        rows.append(RankTwoRow(
-            spec=spec,
-            edge_count=g.edge_count,
-            poly=poly,
-            tree_count=kirchhoff_tree_count(g),
-        ))
-    return tuple(rows)
+        pairs.append((spec, poly))
+    return tuple(pairs)

@@ -322,9 +322,9 @@ def test_criterion_6_leading_and_girth_identities(sweep7, sweep7_bass):
 
 
 def test_criterion_7_rank_two_distinct_and_exhaustive(sweep7):
-    rows = completeness_check(12)  # raises unless every spec decodes back
-    assert len(rows) == 214
-    polys = [row.poly for row in rows]
+    pairs = completeness_check(12)  # raises unless every spec decodes back
+    assert len(pairs) == 214
+    polys = [poly for _, poly in pairs]
     assert len(set(polys)) == len(polys)
 
     # certify the catalogue against brute-force generation at <= 6 edges:

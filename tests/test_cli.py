@@ -14,9 +14,17 @@ import pytest
 import iharazeta
 from iharazeta import cli, families, multigraph, zeta
 from iharazeta.cli import run
-from iharazeta.families import gen_family, parse_family_spec
+from iharazeta.families import (
+    gen_family,
+    parse_family_spec,
+    tree_count_closed_form,
+)
 from iharazeta.intpoly import IntPoly, format_poly
-from iharazeta.multigraph import format_edge_list, parse_edge_list_text
+from iharazeta.multigraph import (
+    format_edge_list,
+    kirchhoff_tree_count,
+    parse_edge_list_text,
+)
 from iharazeta.smallgraphs import connected_multigraphs
 
 TRIANGLE = "n 3\n0 1\n1 2\n2 0\n"
@@ -287,6 +295,20 @@ def test_rank2_json(capsys):
              "girth_readout": 1, "tree_count": "1", "poly_hash": "9d44d5c52e7d"},
         ],
     }
+
+
+def test_rank2_columns_match_independent_counts(capsys):
+    # every column is read off the polynomial; check the edge and tree
+    # counts against the graph itself
+    assert run(["rank2", "--max-edges", "12", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 214
+    for row in rows:
+        spec = parse_family_spec(row["spec"])
+        g = gen_family(spec)
+        assert row["edges"] == g.edge_count
+        assert (int(row["tree_count"]) == kirchhoff_tree_count(g)
+                == tree_count_closed_form(spec)), row["spec"]
 
 
 # --- verify ---

@@ -84,6 +84,18 @@ def test_int_coercion():
     assert 2 - f == IntPoly((0, -3))
 
 
+def test_bool_is_not_an_int_operand():
+    # the constructor's rule: exact type int, so a bool neither compares
+    # equal to a constant nor coerces into one
+    f = IntPoly((2, 3))
+    assert (IntPoly((1,)) == True) is False  # noqa: E712
+    assert (IntPoly() == False) is False  # noqa: E712
+    with pytest.raises(TypeError, match="unsupported operand"):
+        f + True
+    with pytest.raises(TypeError, match="unsupported operand"):
+        True * f
+
+
 def test_derivative():
     p = IntPoly((1, 0, -6, 0, 9, 0, -4))  # the triple-edge fixture
     assert p.derivative() == IntPoly((0, -12, 0, 36, 0, -24))

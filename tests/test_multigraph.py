@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from itertools import combinations
 
@@ -75,6 +76,23 @@ def test_rejects_entries_that_are_not_ints(bad):
         Multigraph(2, (bad, 0), ((0, 1), (1, 0)))
     with pytest.raises(InputError, match="must be ints"):
         Multigraph(2, (0, 0), ((0, bad), (bad, 0)))
+
+
+@pytest.mark.parametrize("edge", [(0, 1.9), (0, "1"), (True, False)],
+                         ids=["float", "str", "bool"])
+def test_build_refuses_vertex_ids_that_are_not_ints(edge):
+    # refused, not converted: int() would read 1.9 and "1" as 1, True as 1
+    with pytest.raises(InputError, match=re.escape(f"edge {edge!r} ")):
+        build_multigraph([(0, 1), edge], 2)
+
+
+def test_zeta_at_two_refuses_fewer_edges_than_vertices(monkeypatch):
+    def no_determinant(matrix):
+        raise AssertionError("determinant computed")
+
+    monkeypatch.setattr(multigraph, "bareiss_int_det", no_determinant)
+    with pytest.raises(InputError, match="2 vertices but 1 edges"):
+        build_multigraph([(0, 1)], 2).zeta_at_two()
 
 
 def test_immutable_and_hashable():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from iharazeta import ranktwo
+from iharazeta import multigraph, ranktwo
 from iharazeta.errors import ParameterError, VerificationError
 from iharazeta.families import FamilySpec, closed_form, family_spec, gen_family
 from iharazeta.multigraph import kirchhoff_tree_count, parse_edge_list_text
@@ -15,6 +15,7 @@ from iharazeta.ranktwo import (
     enumerate_rank2,
 )
 from iharazeta.smallgraphs import canonical_key
+from iharazeta.trees import tree_count_from_zeta
 from iharazeta.zeta import zeta_bass
 
 
@@ -159,15 +160,31 @@ def test_enumeration_matches_the_brute_force_sweep(sweep7):
 # --- distinctness ---
 
 def test_completeness_check_rows_are_reproducible():
-    rows = completeness_check(8)
-    assert [row.spec for row in rows] == enumerate_rank2(8)
-    for row in rows:
-        g = gen_family(row.spec)
-        assert row.edge_count == g.edge_count
-        assert row.poly == zeta_bass(g)
-        assert row.tree_count == kirchhoff_tree_count(g)
-    polys = {row.poly for row in rows}
-    assert len(polys) == len(rows)
+    pairs = completeness_check(8)
+    assert [spec for spec, _ in pairs] == enumerate_rank2(8)
+    for spec, poly in pairs:
+        g = gen_family(spec)
+        assert poly.degree // 2 == g.edge_count
+        assert poly == zeta_bass(g)
+        assert tree_count_from_zeta(poly, 2) == kirchhoff_tree_count(g)
+    polys = {poly for _, poly in pairs}
+    assert len(polys) == len(pairs)
+
+
+def test_completeness_check_makes_one_determinant_per_spec(monkeypatch):
+    # the check at u = 2 inside zeta_bass is the only Bareiss call; the
+    # tree counts are read off the polynomials
+    calls = []
+    real = multigraph.bareiss_int_det
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(multigraph, "bareiss_int_det", counting)
+    pairs = completeness_check(8)
+    assert len(pairs) == 66
+    assert calls == [gen_family(spec).n for spec, _ in pairs]
 
 
 def test_collision_is_reported(monkeypatch):
