@@ -58,9 +58,7 @@ def _load_graph(path):
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    g = parse_edge_list_text(text)
-    validate_zeta_input(g)
-    return g
+    return parse_edge_list_text(text)
 
 
 def _graph_json(g):
@@ -185,9 +183,11 @@ def _cmd_trees(args) -> int:
     if args.spec is not None:
         spec = parse_family_spec(args.spec)
         g = gen_family(spec)
-        validate_zeta_input(g)
     else:
         g = _load_graph(args.graph)
+    # the standing hypotheses, before any count: Kirchhoff alone would
+    # count the trees of a graph with a degree-1 vertex
+    validate_zeta_input(g)
     methods = []
     if spec is not None and FAMILIES[spec.tag].tree_count is not None:
         methods.append(("closed-form", tree_count_closed_form(spec)))

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .errors import InputError, ParameterError, VerificationError
 from .intpoly import IntPoly
-from .multigraph import Multigraph, build_multigraph, subdivide
+from .multigraph import Multigraph, subdivide
 from .zeta import zeta_bass
 
 
@@ -121,7 +121,7 @@ def tree_count_closed_form(spec: FamilySpec) -> int:
 def _complete_with_loops_graph(n, k):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges += [(v, v) for v in range(n) for _ in range(k)]
-    return build_multigraph(edges, n)
+    return Multigraph(edges, n)
 
 
 def _cocktail_party_graph(order):
@@ -131,7 +131,7 @@ def _cocktail_party_graph(order):
         for j in range(i + 1, order)
         if not (i // 2 == j // 2)  # drop the matched pairs (2t, 2t+1)
     ]
-    return build_multigraph(edges, order)
+    return Multigraph(edges, order)
 
 
 def _matching_deleted_graph(order):
@@ -139,24 +139,24 @@ def _matching_deleted_graph(order):
     edges = [
         (i, h + j) for i in range(h) for j in range(h) if i != j
     ]
-    return build_multigraph(edges, 2 * h)
+    return Multigraph(edges, 2 * h)
 
 
 def _mobius_ladder_graph(n):
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(i, i + n // 2) for i in range(n // 2)]
-    return build_multigraph(edges, n)
+    return Multigraph(edges, n)
 
 
 def _dumbbell_graph(a, b, c):
     edges = [(0, 0)] * a + [(1, 1)] * b + [(0, 1)] * c
-    return build_multigraph(edges, 2)
+    return Multigraph(edges, 2)
 
 
 def _three_vertex_graph(a1, a2, a3, b12, b13, b23):
     edges = [(0, 0)] * a1 + [(1, 1)] * a2 + [(2, 2)] * a3
     edges += [(0, 1)] * b12 + [(0, 2)] * b13 + [(1, 2)] * b23
-    return build_multigraph(edges, 3)
+    return Multigraph(edges, 3)
 
 
 # --- closed forms ---
@@ -408,7 +408,7 @@ FAMILIES = {
         closed_form=lambda n: IntPoly.from_terms([(2 * n, 1), (n, -2), (0, 1)])),
     "Complete": Family(
         "K", 1, ((lambda n: n >= 3, "Complete needs n >= 3"),),
-        build=lambda n: build_multigraph(
+        build=lambda n: Multigraph(
             [(i, j) for i in range(n) for j in range(i + 1, n)], n
         ),
         closed_form=_complete_form,
@@ -422,7 +422,7 @@ FAMILIES = {
     "CompleteBipartite": Family(
         "Kb", 2,
         ((lambda m, n: min(m, n) >= 2, "CompleteBipartite needs m, n >= 2"),),
-        build=lambda m, n: build_multigraph(
+        build=lambda m, n: Multigraph(
             [(i, m + j) for i in range(m) for j in range(n)], m + n
         ),
         closed_form=_complete_bipartite_form,
@@ -473,7 +473,7 @@ FAMILIES = {
         tree_count=lambda m, n, l: m * n),
     "Bouquet": Family(
         "BQ", 1, ((lambda a: a >= 1, "Bouquet needs a >= 1"),),
-        build=lambda a: build_multigraph([(0, 0)] * a, 1),
+        build=lambda a: Multigraph([(0, 0)] * a, 1),
         closed_form=lambda a: (IntPoly.one_minus_u2_pow(a - 1)
                                * IntPoly((1, -2 * a, 2 * a - 1)))),
     "Dumbbell": Family(
@@ -497,7 +497,7 @@ FAMILIES = {
     "NamedSmall": Family(
         None, 1,
         ((lambda name: name in NAMED_SMALL, "unknown small-graph id {0!r}"),),
-        build=lambda name: build_multigraph(
+        build=lambda name: Multigraph(
             NAMED_SMALL[name][1], NAMED_SMALL[name][0]
         ),
         closed_form=lambda name: NAMED_SMALL[name][2]),

@@ -6,10 +6,11 @@ a per-vertex counter. Degree follows the convention that a loop adds 2 (so
 the adjacency matrix gets 2 on the diagonal per loop), which is load-bearing
 for engine agreement on bouquets and dumbbells.
 
-A Multigraph is immutable and can be hashed and used as a dictionary key.
-Its entries must be of type int (float, str and bool are refused, not
-converted); its degrees and edge count are stored at construction, and
-its zeta value at u = 2 is computed on first use and kept. Bass's vertex
+A Multigraph is built from an edge list, in one pass over its edges, and is
+immutable; it can be hashed and used as a dictionary key. Its vertex ids
+must be of type int (float, str and bool are refused, not converted). Its
+degrees, edge count and connectivity are stored at construction, and its
+zeta value at u = 2 is computed on first use and kept. Bass's vertex
 matrix I - uA + u^2 Q is built in one place, vertex_matrix: at u = 2 for
 that value, at u = 1 (the Laplacian) for the spanning-tree count.
 """
@@ -17,37 +18,64 @@ that value, at u = 1 (the Laplacian) for the spanning-tree count.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
 
 from .errors import InputError
 from .polydet import bareiss_int_det
 
 
 class Multigraph:
-    """Immutable multigraph: loop counts plus a symmetric multiplicity table."""
+    """Immutable multigraph on vertices 0..n_vertices-1, built from an edge
+    list in which (v, v) pairs are loops.
 
-    __slots__ = ("n", "loops", "mult", "_degrees", "edge_count", "_at_two")
+    One pass over the edges checks each one and adds it up into the loop
+    counts, the symmetric multiplicity table, the degrees and the edge
+    count; union-find over the non-loop edges (Tarjan, J. ACM 1975) finds
+    whether the support is connected, kept as ``connected``.
+    """
 
-    def __init__(self, n: int, loops, mult):
-        if n < 1:
-            raise InputError("a multigraph needs at least one vertex")
-        loops, mult = tuple(loops), tuple(map(tuple, mult))
-        if len(loops) != n or len(mult) != n or set(map(len, mult)) != {n}:
-            raise InputError("table dimensions do not match vertex count")
-        if not {int}.issuperset(map(type, chain(loops, *mult))):
-            raise InputError("loop counts and multiplicities must be ints")
-        if min(loops) < 0:
-            raise InputError("negative loop count")
-        if any(map(tuple.__getitem__, mult, range(n))):
-            raise InputError("diagonal of the multiplicity table must be 0")
-        if min(map(min, mult)) < 0:
-            raise InputError("negative edge multiplicity")
-        if mult != tuple(zip(*mult)):
-            raise InputError("multiplicity table must be symmetric")
-        degrees = tuple(2 * x + sum(row) for x, row in zip(loops, mult))
-        for name, value in (("n", n), ("loops", loops), ("mult", mult),
-                            ("_degrees", degrees),
+    __slots__ = ("n", "loops", "mult", "_degrees", "edge_count", "connected",
+                 "_at_two")
+
+    def __init__(self, edge_list, n_vertices: int):
+        if n_vertices < 1:
+            raise InputError("n_vertices must be >= 1")
+        loops = [0] * n_vertices
+        mult = [[0] * n_vertices for _ in range(n_vertices)]
+        degrees = [0] * n_vertices
+        parent = list(range(n_vertices))
+        components = n_vertices
+        for pair in edge_list:
+            try:
+                u, v = pair
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"edge {pair!r} is not a vertex pair") from exc
+            if type(u) is not int or type(v) is not int:
+                raise InputError(
+                    f"edge {pair!r} has a vertex id that is not an int")
+            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+                raise InputError(
+                    f"edge ({u}, {v}) out of range for {n_vertices} vertices"
+                )
+            degrees[u] += 1
+            degrees[v] += 1
+            if u == v:
+                loops[u] += 1
+                continue
+            mult[u][v] += 1
+            mult[v][u] += 1
+            # path halving: each step links a vertex to its grandparent
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                components -= 1
+        for name, value in (("n", n_vertices), ("loops", tuple(loops)),
+                            ("mult", tuple(map(tuple, mult))),
+                            ("_degrees", tuple(degrees)),
                             ("edge_count", sum(degrees) // 2),
+                            ("connected", components == 1),
                             ("_at_two", None)):
             object.__setattr__(self, name, value)
 
@@ -117,30 +145,8 @@ def vertex_matrix(g: Multigraph, u: int):
     return rows
 
 
-def build_multigraph(edge_list, n_vertices: int) -> Multigraph:
-    """Accumulate an edge list into a Multigraph; (v, v) pairs are loops.
-    Vertex ids must be of type int: other types are refused, not converted."""
-    if n_vertices < 1:
-        raise InputError("n_vertices must be >= 1")
-    loops = [0] * n_vertices
-    mult = [[0] * n_vertices for _ in range(n_vertices)]
-    for pair in edge_list:
-        try:
-            u, v = pair
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"edge {pair!r} is not a vertex pair") from exc
-        if type(u) is not int or type(v) is not int:
-            raise InputError(f"edge {pair!r} has a vertex id that is not an int")
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-            raise InputError(
-                f"edge ({u}, {v}) out of range for {n_vertices} vertices"
-            )
-        if u == v:
-            loops[u] += 1
-        else:
-            mult[u][v] += 1
-            mult[v][u] += 1
-    return Multigraph(n_vertices, loops, mult)
+# the constructor under a second name, for callers that import it
+build_multigraph = Multigraph
 
 
 def subdivide(n: int, slots, lengths) -> Multigraph:
@@ -157,7 +163,7 @@ def subdivide(n: int, slots, lengths) -> Multigraph:
             path = [v, *range(n, n + length - 1), w]
             n += length - 1
             edges.extend(zip(path, path[1:]))
-    return build_multigraph(edges, n)
+    return Multigraph(edges, n)
 
 
 # --- edge-list text format (the one reader, shared by the CLI and library) ---
@@ -200,7 +206,7 @@ def parse_edge_list_text(text: str) -> Multigraph:
             f"graph has {n_vertices} vertices but {len(edges)} edges; a "
             "connected graph of min degree 2 needs |V| <= |E|"
         )
-    return build_multigraph(edges, n_vertices)
+    return Multigraph(edges, n_vertices)
 
 
 def format_edge_list(g: Multigraph) -> str:
@@ -212,31 +218,17 @@ def format_edge_list(g: Multigraph) -> str:
 # --- structural invariants ---
 
 def validate_zeta_input(g: Multigraph) -> None:
-    """Enforce the standing hypotheses: connected with min degree >= 2."""
-    if not table_is_connected(g.mult):
+    """Enforce the standing hypotheses: connected with min degree >= 2.
+
+    Reads what construction stored (``g.connected`` and the degrees), so
+    it costs O(|V|) and builds nothing."""
+    if not g.connected:
         raise InputError("graph is not connected")
     mindeg = min(g.degrees())
     if mindeg < 2:
         raise InputError(
             f"graph has a vertex of degree {mindeg}; min degree 2 required"
         )
-
-
-def table_is_connected(mult) -> bool:
-    """Whether a multiplicity table's support graph is connected."""
-    n = len(mult)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        row = mult[queue.popleft()]
-        for w in range(n):
-            if not seen[w] and row[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == n
 
 
 def girth(g: Multigraph) -> int | None:

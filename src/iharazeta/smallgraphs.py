@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .multigraph import Multigraph, subdivide, table_is_connected
+from .multigraph import Multigraph, subdivide
 
 
 def _ranks(labels):
@@ -106,13 +106,15 @@ def canonical_key(g: Multigraph) -> tuple:
 def _labeled_tables(n, max_edges, min_degree):
     """Yield connected labeled Multigraphs on n vertices within the budget.
 
-    Symmetry break: degrees must come out non-increasing along the vertex
-    order, which every isomorphism class can satisfy. Rows are filled
-    vertex by vertex; once row v closes, deg(v) is final, so both the
-    min-degree bound and the ordering prune whole subtrees.
+    The cells of the table are filled in order, vertex v's loop cell (v, v)
+    and then its pair cells (v, w), w > v, each with a count of edges
+    appended to one edge list. Symmetry break: degrees must come out
+    non-increasing along the vertex order, which every isomorphism class
+    can satisfy. Once row v closes, deg(v) is final, so both the
+    min-degree bound and the ordering prune whole subtrees. Each complete
+    table's graph is built from its edge list and yielded if connected.
     """
-    loops = [0] * n
-    mult = [[0] * n for _ in range(n)]
+    edges = []
     deg = [0] * n
 
     def close_row(v, budget):
@@ -125,31 +127,24 @@ def _labeled_tables(n, max_edges, min_degree):
         return 2 * budget >= need
 
     def fill_cell(v, w, budget):
-        # w == v means the loop cell; w > v the pair cell; w == n closes.
+        # w == n closes row v; a loop (w == v) adds 2 to deg(v)
         if w == n:
             if close_row(v, budget):
                 if v + 1 == n:
-                    if table_is_connected(mult):
-                        yield Multigraph(n, loops, mult)  # copies both
+                    g = Multigraph(edges, n)
+                    if g.connected:
+                        yield g
                 else:
                     yield from fill_cell(v + 1, v + 1, budget)
             return
-        if w == v:
-            for c in range(budget + 1):
-                loops[v] = c
-                deg[v] += 2 * c
-                yield from fill_cell(v, w + 1, budget - c)
-                deg[v] -= 2 * c
-            loops[v] = 0
-            return
-        for c in range(budget + 1):
-            mult[v][w] = mult[w][v] = c
-            deg[v] += c
-            deg[w] += c
+        for c in range(budget + 1):  # c copies of (v, w) in edges
             yield from fill_cell(v, w + 1, budget - c)
-            deg[v] -= c
-            deg[w] -= c
-        mult[v][w] = mult[w][v] = 0
+            edges.append((v, w))
+            deg[v] += 1
+            deg[w] += 1
+        del edges[-(budget + 1):]
+        deg[v] -= budget + 1
+        deg[w] -= budget + 1
 
     yield from fill_cell(0, 0, max_edges)
 

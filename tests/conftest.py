@@ -37,6 +37,20 @@ def sweep7_bass(sweep7):
     return [zeta_bass(g) for g in sweep7]
 
 
+@pytest.fixture(scope="session")
+def support_is_connected():
+    """networkx's answer to whether a Multigraph's support is connected,
+    an oracle independent of Multigraph.connected."""
+    nx = pytest.importorskip("networkx")
+
+    def connected(g):
+        h = nx.MultiGraph(g.edge_list())
+        h.add_nodes_from(range(g.n))
+        return nx.is_connected(h)
+
+    return connected
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     results = {}
     for outcome, verdict in (("passed", "PASS"), ("failed", "FAIL"),

@@ -16,7 +16,7 @@ from iharazeta.families import (
 )
 from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import (
-    build_multigraph,
+    Multigraph,
     is_bipartite,
     kirchhoff_tree_count,
 )
@@ -61,7 +61,7 @@ def _complement_of_k5(missing):
         for j in range(i + 1, 5)
         if frozenset((i, j)) not in gone
     ]
-    return build_multigraph(edges, 5)
+    return Multigraph(edges, 5)
 
 
 # (graph, descending term list); the term lists are frozen reference
@@ -70,27 +70,27 @@ def _complement_of_k5(missing):
 REFERENCE_FIXTURES = [
     (
         "two loops on one vertex",
-        build_multigraph([(0, 0), (0, 0)], 1),
+        Multigraph([(0, 0), (0, 0)], 1),
         [(4, -3), (3, 4), (2, 2), (1, -4), (0, 1)],
     ),
     (
         "bigon plus loop",
-        build_multigraph([(0, 1), (0, 1), (1, 1)], 2),
+        Multigraph([(0, 1), (0, 1), (1, 1)], 2),
         [(6, -3), (5, 2), (4, 3), (2, -1), (1, -2), (0, 1)],
     ),
     (
         "two bigons sharing a vertex",
-        build_multigraph([(0, 1), (0, 1), (1, 2), (1, 2)], 3),
+        Multigraph([(0, 1), (0, 1), (1, 2), (1, 2)], 3),
         [(8, -3), (6, 4), (4, 2), (2, -4), (0, 1)],
     ),
     (
         "triple edge",
-        build_multigraph([(0, 1), (0, 1), (0, 1)], 2),
+        Multigraph([(0, 1), (0, 1), (0, 1)], 2),
         [(6, -4), (4, 9), (2, -6), (0, 1)],
     ),
     (
         "K4 minus an edge",
-        build_multigraph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], 4),
+        Multigraph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], 4),
         [(10, -4), (8, 1), (7, 4), (6, 4), (4, -2), (3, -4), (0, 1)],
     ),
     (

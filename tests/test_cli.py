@@ -424,6 +424,38 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_zeta_graph_is_validated_once_per_engine_run(tmp_path, monkeypatch):
+    # reading the file only parses it; the engine checks the hypotheses
+    calls = []
+    real = multigraph.validate_zeta_input
+
+    def counting(g):
+        calls.append(g)
+        real(g)
+
+    for module in (multigraph, zeta, cli):
+        monkeypatch.setattr(module, "validate_zeta_input", counting)
+    path = write_graph(tmp_path, TRIANGLE)
+    assert run(["zeta", "--engine", "bass", "--graph", path]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["zeta", "trees"])
+@pytest.mark.parametrize("text, message", [
+    ("n 4\n0 1\n0 1\n2 3\n2 3\n", "graph is not connected"),
+    ("n 4\n0 1\n1 2\n2 0\n2 3\n",
+     "graph has a vertex of degree 1; min degree 2 required"),
+], ids=["disconnected", "degree-1"])
+def test_graph_files_outside_the_hypotheses_are_refused(
+        tmp_path, capsys, command, text, message):
+    # both files have rank 1: trees runs no zeta engine on them, and
+    # Kirchhoff alone would count the degree-1 graph's trees
+    path = write_graph(tmp_path, text)
+    assert run([command, "--graph", path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_more_vertices_than_edges_is_rejected(tmp_path, capsys):
     # min degree 2 forces |V| <= |E|; the file is refused on its header
     # count, naming both counts, before any |V| x |V| table exists

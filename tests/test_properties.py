@@ -11,7 +11,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from iharazeta.multigraph import build_multigraph, kirchhoff_tree_count  # noqa: E402
+from iharazeta.multigraph import Multigraph, kirchhoff_tree_count  # noqa: E402
 from iharazeta.trees import tree_count_from_zeta  # noqa: E402
 from iharazeta.zeta import (  # noqa: E402
     poly_invariants,
@@ -46,12 +46,37 @@ def multigraphs(draw):
 @given(multigraphs())
 def test_engines_agree_on_random_multigraphs(case):
     edges, n, perm = case
-    g = build_multigraph(edges, n)
+    g = Multigraph(edges, n)
     poly = zeta_bass(g)
     assert zeta_line_det(g) == poly
     assert zeta_enum(g) == poly
-    relabelled = build_multigraph([(perm[u], perm[v]) for u, v in edges], n)
+    relabelled = Multigraph([(perm[u], perm[v]) for u, v in edges], n)
     assert zeta_bass(relabelled) == poly
     poly_invariants(poly, g)
     if g.rank >= 2:
         assert tree_count_from_zeta(poly, g.rank) == kirchhoff_tree_count(g)
+
+
+@st.composite
+def edge_lists(draw):
+    """Any edge list on 1 to 7 vertices: loops, parallel edges and isolated
+    vertices all come up; plus the same list in another order."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    return edges, n, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edge_lists())
+def test_constructor_connectivity_and_edge_order(case):
+    nx = pytest.importorskip("networkx")
+    edges, n, shuffled = case
+    g = Multigraph(edges, n)
+    support = nx.MultiGraph(edges)
+    support.add_nodes_from(range(n))
+    assert g.connected == nx.is_connected(support)
+    assert g.edge_count == len(edges)
+    h = Multigraph(shuffled, n)
+    assert h == g and hash(h) == hash(g)
+    assert (h.connected, h.degrees()) == (g.connected, g.degrees())

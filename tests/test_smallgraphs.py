@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from iharazeta.families import gen_family, parse_family_spec
-from iharazeta.multigraph import build_multigraph, table_is_connected
+from iharazeta.multigraph import Multigraph
 from iharazeta.smallgraphs import (
     _table_classes,
     canonical_key,
@@ -18,7 +18,7 @@ from iharazeta.smallgraphs import (
 
 
 def relabel(g, perm):
-    return build_multigraph(
+    return Multigraph(
         [(perm[u], perm[v]) for u, v in g.edge_list()], g.n
     )
 
@@ -71,11 +71,11 @@ def test_all_classes_up_to_three_edges_are_the_expected_ones():
     assert len(reps) == len(models)
 
 
-def test_emitted_graphs_satisfy_the_constraints(sweep7):
+def test_emitted_graphs_satisfy_the_constraints(sweep7, support_is_connected):
     keys = set()
     for g in sweep7:
         assert g.edge_count <= 7
-        assert table_is_connected(g.mult)
+        assert g.connected and support_is_connected(g)
         assert min(g.degrees()) >= 2
         keys.add(canonical_key(g))
     assert len(keys) == len(sweep7)
@@ -154,13 +154,13 @@ def test_is_isomorphic_quick_rejects():
     assert family_key("H(1,1,1)") != family_key("Gp(2,2,1)")
 
 
-def test_min_degree_one_widens_the_sweep():
+def test_min_degree_one_widens_the_sweep(support_is_connected):
     keys2 = {canonical_key(g) for g in connected_multigraphs(3)}
     all1 = _table_classes(3, 1)
     keys1 = {canonical_key(g) for g in all1}
     assert keys2 < keys1
     for g in all1:
-        assert table_is_connected(g.mult)
+        assert g.connected and support_is_connected(g)
         assert min(g.degrees()) >= 1
     assert any(
         g.edge_count == 1 and sorted(g.degrees()) == [1, 1] for g in all1

@@ -16,7 +16,7 @@ from iharazeta.families import (
     parse_family_spec,
 )
 from iharazeta.intpoly import IntPoly
-from iharazeta.multigraph import build_multigraph, is_bipartite
+from iharazeta.multigraph import Multigraph, is_bipartite
 from iharazeta import multigraph, zeta
 from iharazeta.polydet import bareiss_int_det, reversed_charpoly
 from iharazeta.smallgraphs import connected_multigraphs
@@ -33,11 +33,11 @@ from iharazeta.zeta import (
 
 
 def cycle(n):
-    return build_multigraph([(i, (i + 1) % n) for i in range(n)], n)
+    return Multigraph([(i, (i + 1) % n) for i in range(n)], n)
 
 
 def complete(n):
-    return build_multigraph(
+    return Multigraph(
         [(i, j) for i in range(n) for j in range(i + 1, n)], n
     )
 
@@ -49,10 +49,10 @@ def two_cycles_joined(m, n):
     edges += [(verts[i], verts[(i + 1) % m]) for i in range(m)]
     verts = [0] + list(range(m, m + n - 1))
     edges += [(verts[i], verts[(i + 1) % n]) for i in range(n)]
-    return build_multigraph(edges, m + n - 1)
+    return Multigraph(edges, m + n - 1)
 
 
-TRIPLE_EDGE = build_multigraph([(0, 1), (0, 1), (0, 1)], 2)
+TRIPLE_EDGE = Multigraph([(0, 1), (0, 1), (0, 1)], 2)
 
 
 # --- oriented line graph ---
@@ -133,7 +133,7 @@ def test_line_graph_out_lists_match_the_definition():
 
 
 def test_loop_gives_two_self_arcs():
-    origin, terminus = oriented_line_graph(build_multigraph([(0, 0)], 1))
+    origin, terminus = oriented_line_graph(Multigraph([(0, 0)], 1))
     assert (origin, terminus) == ((0, 0), (0, 0))
     assert arcs(origin, terminus) == [[0], [1]]
 
@@ -141,7 +141,7 @@ def test_loop_gives_two_self_arcs():
 def test_bigon_line_graph_cycles():
     # two parallel edges: leaving by one copy and returning by the other is
     # a legal closed walk, so the line digraph has two disjoint 2-cycles
-    olg = oriented_line_graph(build_multigraph([(0, 1), (0, 1)], 2))
+    olg = oriented_line_graph(Multigraph([(0, 1), (0, 1)], 2))
     cycles = sorted(enumerate_directed_cycles(*olg))
     assert cycles == [(0b0110, 2), (0b1001, 2)]
     assert linear_subgraph_census(*olg) == {(2, 1): 2, (4, 2): 1}
@@ -232,7 +232,7 @@ def test_triangle_literal():
 
 
 def test_figure_eight_literal():
-    g = build_multigraph([(0, 0), (0, 0)], 1)
+    g = Multigraph([(0, 0), (0, 0)], 1)
     expected = IntPoly((1, -4, 2, 4, -3))
     for engine in (zeta_bass, zeta_line_det, zeta_enum):
         assert engine(g) == expected
@@ -346,8 +346,8 @@ def test_wrong_constant_term_fails_the_output_check(monkeypatch):
 
 
 def test_engines_validate_input():
-    path = build_multigraph([(0, 1), (1, 2)], 3)
-    split = build_multigraph([(0, 1), (0, 1), (2, 3), (2, 3)], 4)
+    path = Multigraph([(0, 1), (1, 2)], 3)
+    split = Multigraph([(0, 1), (0, 1), (2, 3), (2, 3)], 4)
     for engine in (zeta_bass, zeta_line_det, zeta_enum):
         with pytest.raises(InputError, match="vertex of degree 1"):
             engine(path)
@@ -395,7 +395,7 @@ def test_size_cap_is_checked_before_the_line_graph_is_built(monkeypatch):
 
     monkeypatch.setattr(zeta, "oriented_line_graph", refuse)
     with pytest.raises(SizeCapError, match="200"):
-        zeta_enum(build_multigraph([(0, 0)] * 100, 1))
+        zeta_enum(Multigraph([(0, 0)] * 100, 1))
 
 
 @pytest.mark.parametrize("spec", [
