@@ -1,7 +1,9 @@
 """Exact determinants: bareiss_int_det over the integers, for the engines'
 output check at u = 2 and for Kirchhoff's tree count, and
 reversed_charpoly, the det(I - uM) kernel of both determinant engines (one
-pass modulo a Proth prime above twice a Euclidean Hadamard bound)."""
+pass modulo a Proth prime above twice a Euclidean Hadamard bound, whose row
+step delays its reduction: entries stay below (n + 1) p^2, and every zero
+test that decides something reads a residue)."""
 
 from __future__ import annotations
 
@@ -85,7 +87,11 @@ def reversed_charpoly(matrix) -> IntPoly:
     list reversed, computed in one pass modulo a single prime P > 2B,
     B^2 = prod_i sum_j (|m_ij| + [i = j])^2, as residues of least absolute
     value. P is the least Proth prime above 2^b, where 2^(2b) > 4B^2 is
-    checked in integers, so no square root is taken.
+    checked in integers, so no square root is taken. The pass delays its
+    reduction in the row step (see _charpoly_mod): stored entries stay
+    below (n + 1) P^2, the multipliers, the pivot row's support, the
+    column-step sums and the recurrence's reads are reduced, and the
+    residues returned are those of a reduction after every update.
 
     B bounds every |c_k| of f(u) = det(I - uM) = sum_k c_k u^k. Proof:
     Cauchy's estimate on the unit circle gives |c_k| <= max_{|u|=1} |f(u)|.
@@ -116,12 +122,23 @@ def _charpoly_mod(m, p: int):
     Hessenberg reduction by elementary similarity transforms, then the
     three-term recurrence on the leading principal minors of the
     Hessenberg matrix (Cohen, Alg. 2.2.9). O(n^3) word operations.
+
+    The row step delays its reduction (Dumas, Giorgi and Pernet, ACM TOMS
+    35, 2008): a row below the pivot takes h_ij -= t x with no % p, and the
+    eliminated entry is set to 0. The multiplier t and the pivot row's
+    values x are reduced, so each update adds less than p^2 in absolute
+    value; a row takes at most one update per step, so every stored entry
+    stays below (n + 1) p^2. Every zero test that decides something reads a
+    residue: the pivot search, the pivot row's support and the multiplier.
+    The column step reduces each row's sum, and the recurrence reduces what
+    it reads of H (the diagonal, the subdiagonal products and the products
+    with the upper entries), so H itself is never reduced again.
     """
     n = len(m)
     h = [[x % p for x in row] for row in m]
     for k in range(1, n - 1):
         col = k - 1
-        piv = next((i for i in range(k, n) if h[i][col]), None)
+        piv = next((i for i in range(k, n) if h[i][col] % p), None)
         if piv is None:
             continue  # column already reduced below the subdiagonal
         if piv != k:
@@ -130,16 +147,17 @@ def _charpoly_mod(m, p: int):
                 row[k], row[piv] = row[piv], row[k]
         hk = h[k]
         inv = pow(hk[col], -1, p)
-        support = [(j, x) for j in range(col, n) if (x := hk[j])]
+        support = [(j, x) for j in range(k, n) if (x := hk[j] % p)]
         mults = []
-        # rows: R_i -= t_i R_k for i > k, zeroing column col below k
+        # rows: R_i -= t_i R_k for i > k, zeroing column col below k; a
+        # row whose entry is a nonzero multiple of p gets t = 0 and is left
         for i in range(k + 1, n):
             hi = h[i]
-            if hi[col]:
-                t = hi[col] * inv % p
+            if hi[col] and (t := hi[col] * inv % p):
                 mults.append((i, t))
+                hi[col] = 0
                 for j, x in support:
-                    hi[j] = (hi[j] - t * x) % p
+                    hi[j] -= t * x
         # columns: C_k += t_i C_i, completing the similarity transform
         if mults:
             for row in h:
@@ -153,7 +171,7 @@ def _charpoly_mod(m, p: int):
     for j in range(n):
         # (x - h_jj) chars[j]
         prev = chars[j]
-        d = h[j][j]
+        d = h[j][j] % p
         nxt = [a - d * c for a, c in zip([0] + prev, prev)] + [1]
         # - sum_i h_{j-i, j} (prod of subdiagonal h_{t, t-1}, j-i < t <= j)
         #   chars[j - i]

@@ -77,30 +77,36 @@ def canonical_key(g: Multigraph) -> tuple:
         [(g.mult[v][w], w) for w in range(n) if g.mult[v][w]]
         for v in range(n)
     ]
+    return _search(g, nbrs, _ranks([(g.degree(v), g.loops[v])
+                                    for v in range(n)]))
 
-    def search(colour):
-        colour = _refine(colour, nbrs)
-        if max(colour) + 1 == n:  # discrete: a leaf
-            order = sorted(range(n), key=colour.__getitem__)
-            return (
-                n,
-                tuple(g.loops[v] for v in order),
-                tuple(
-                    g.mult[order[i]][order[j]]
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                ),
-            )
-        split = min(c for c in colour if colour.count(c) > 1)
-        # doubling keeps the cell order; v alone gets 2c + 1, after the
-        # rest of its cell
-        return min(
-            search([2 * c + (w == v) for w, c in enumerate(colour)])
-            for v in range(n)
-            if colour[v] == split
+
+def _search(g, nbrs, colour):
+    """The least leaf table below colour in canonical_key's search. It is
+    module-level because a closure that calls itself is a reference cycle,
+    which would keep nbrs and g alive after every key until the cyclic
+    collector runs."""
+    n = g.n
+    colour = _refine(colour, nbrs)
+    if max(colour) + 1 == n:  # discrete: a leaf
+        order = sorted(range(n), key=colour.__getitem__)
+        return (
+            n,
+            tuple(g.loops[v] for v in order),
+            tuple(
+                g.mult[order[i]][order[j]]
+                for i in range(n)
+                for j in range(i + 1, n)
+            ),
         )
-
-    return search(_ranks([(g.degree(v), g.loops[v]) for v in range(n)]))
+    split = min(c for c in colour if colour.count(c) > 1)
+    # doubling keeps the cell order; v alone gets 2c + 1, after the rest of
+    # its cell
+    return min(
+        _search(g, nbrs, [2 * c + (w == v) for w, c in enumerate(colour)])
+        for v in range(n)
+        if colour[v] == split
+    )
 
 
 def _labeled_tables(n, max_edges, min_degree):

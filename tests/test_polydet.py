@@ -2,6 +2,7 @@
 polynomial kernel det(I - uM)."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 from math import prod
 
@@ -336,6 +337,65 @@ def test_kernel_matches_bareiss_at_scale():
         assert_matches_bareiss(m)
 
     check()
+
+
+def charpoly_mod_oracle(m, p):
+    """[a_0 .. a_n] of det(xI - M) mod p without the kernel: Bareiss at
+    x = 0 .. n, interpolated exactly over the rationals."""
+    n = len(m)
+    xs = range(n + 1)
+    ys = [bareiss_int_det([[x * (i == j) - m[i][j] for j in range(n)]
+                           for i in range(n)]) for x in xs]
+    coeffs = [Fraction(0)] * (n + 1)
+    for xi, yi in zip(xs, ys):
+        basis, denom = [1], 1  # prod over xj != xi of (x - xj)
+        for xj in xs:
+            if xj != xi:
+                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
+                denom *= xi - xj
+        for k, b in enumerate(basis):
+            coeffs[k] += Fraction(yi * b, denom)
+    assert all(c.denominator == 1 for c in coeffs)
+    return [int(c) % p for c in coeffs]
+
+
+def test_kernel_at_small_primes_against_interpolation():
+    # entries 0, +-1, +-2, +-p and 3p + 1 make nonzero multiples of p
+    # appear mid-reduction, where the row step leaves entries unreduced
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices_mod_p(draw):
+        p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+        n = draw(st.integers(1, 7))
+        entry = st.sampled_from((0, 1, -1, 2, -2, p, -p, 3 * p + 1))
+        row = st.lists(entry, min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=n, max_size=n)), p
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None)
+    @hypothesis.given(matrices_mod_p())
+    def check(case):
+        m, p = case
+        assert polydet._charpoly_mod(m, p) == charpoly_mod_oracle(m, p)
+
+    check()
+
+
+def test_kernel_pivot_search_reads_residues():
+    # modulo 5, step 1 takes row 3 -= 2 row 1 and leaves h[3][2] = 1 - 2 * 3
+    # = -5 unreduced; step 2 has a pivot but no multiplier, so no column
+    # step reduces column 2. At step 3 the only candidate in column 2 is
+    # -5: zero modulo 5, so the column is already reduced. A pivot search
+    # that read the integer would try to invert it.
+    m = [
+        [0, 0, 0, 0, 0],
+        [1, 0, 3, 0, 0],
+        [0, 1, 0, 0, 0],
+        [2, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1],
+    ]
+    assert polydet._charpoly_mod(m, 5) == charpoly_mod_oracle(m, 5)
 
 
 def is_proth(n):

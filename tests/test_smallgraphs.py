@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter, defaultdict
 from itertools import combinations
@@ -117,6 +118,21 @@ def test_canonical_key_is_invariant_on_every_sweep_class(sweep7):
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_key(relabel(g, perm)) == key
+
+
+def test_canonical_key_leaves_no_cyclic_garbage(sweep7):
+    # keying must free everything by reference counting alone: a search
+    # that kept a reference cycle per call would leave garbage for the
+    # cyclic collector on every key
+    assert len(sweep7) == 489
+    gc.collect()
+    gc.disable()
+    try:
+        for g in sweep7:
+            canonical_key(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sweep_classes_are_pairwise_non_isomorphic_by_networkx(sweep7):
