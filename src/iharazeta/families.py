@@ -503,7 +503,6 @@ FAMILIES = {
         closed_form=lambda name: NAMED_SMALL[name][2]),
 }
 
-FAMILY_TAGS = tuple(FAMILIES)
 # CLI shorthand; the long tag names are accepted everywhere too.
 _TAG_BY_SHORT = {f.short: tag for tag, f in FAMILIES.items() if f.short}
 

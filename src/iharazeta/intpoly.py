@@ -9,8 +9,6 @@ dict keys.
 
 from __future__ import annotations
 
-from math import factorial
-
 
 class IntPoly:
     """Immutable dense integer polynomial in one variable (called u)."""
@@ -151,23 +149,7 @@ class IntPoly:
             n >>= 1
         return result
 
-    # --- calculus and evaluation ---
-
-    def derivative(self, order: int = 1) -> "IntPoly":
-        """Exact iterated formal derivative, in one pass.
-
-        The coefficient of u^k moves to u^(k - order), multiplied by the
-        falling factorial k!/(k - order)!, updated from k to k + 1.
-        """
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        cs = self.coeffs
-        out = []
-        falling = factorial(order)
-        for k in range(order, len(cs)):
-            out.append(falling * cs[k])
-            falling = falling * (k + 1) // (k + 1 - order)
-        return IntPoly(out)
+    # --- evaluation ---
 
     def eval_at(self, x):
         """Horner evaluation in x's arithmetic: exact for int or rational x."""

@@ -249,62 +249,6 @@ def _clow_coefficients(origin, terminus):
     return c
 
 
-# --- explicit census for the contribution-table audits ---
-
-def enumerate_directed_cycles(origin, terminus):
-    """All simple directed cycles as (vertex mask, length), anchored at
-    their smallest vertex. Exponential in general; meant for the sparse
-    line graphs of the contribution-table checks."""
-    n = len(origin)
-    out = [
-        [j for j in range(n) if j != i ^ 1 and terminus[j] == v]
-        for i, v in enumerate(origin)
-    ]
-    cycles = []
-
-    def walk(anchor, w, mask, length):
-        for x in out[w]:
-            if x == anchor:
-                cycles.append((mask, length))
-            elif x > anchor and not (mask >> x) & 1:
-                walk(anchor, x, mask | (1 << x), length + 1)
-
-    for a in range(n):
-        walk(a, a, 1 << a, 1)
-    return cycles
-
-
-def linear_subgraph_census(origin, terminus):
-    """Occurrence counts {(k, r): count} over all linear subgraphs.
-
-    k is the number of line-graph vertices covered and r the number of
-    cycles; c_k = sum_r (-1)^r * count[(k, r)]. This is a second,
-    structurally different enumeration (explicit cycles, then disjoint
-    packing) used to audit the coefficient tables.
-    """
-    census: dict[tuple[int, int], int] = {}
-
-    def pack(cycles, k, r):
-        # cycles: the later cycles disjoint from every one packed so far
-        for i, (mask, length) in enumerate(cycles):
-            key = (k + length, r + 1)
-            census[key] = census.get(key, 0) + 1
-            pack([c for c in cycles[i + 1:] if not c[0] & mask],
-                 k + length, r + 1)
-
-    pack(enumerate_directed_cycles(origin, terminus), 0, 0)
-    return census
-
-
-def census_coefficient(census, k: int) -> int:
-    """c_k recovered from a census table (k >= 1)."""
-    return sum(
-        (-1 if r % 2 else 1) * cnt
-        for (kk, r), cnt in census.items()
-        if kk == k
-    )
-
-
 # --- polynomial-level invariant checks ---
 
 def poly_invariants(poly: IntPoly, g: Multigraph) -> None:

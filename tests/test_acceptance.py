@@ -24,14 +24,14 @@ from iharazeta.ranktwo import completeness_check, enumerate_rank2
 from iharazeta.smallgraphs import _table_classes, canonical_key
 from iharazeta.trees import tree_count_from_zeta
 from iharazeta.zeta import (
-    census_coefficient,
-    linear_subgraph_census,
     oriented_line_graph,
     poly_invariants,
     zeta_bass,
     zeta_enum,
     zeta_line_det,
 )
+
+from census import census_coefficient, linear_subgraph_census
 
 
 # --- criterion 1: engine agreement on the exhaustive sweep ---

@@ -14,7 +14,6 @@ from iharazeta.errors import (
 )
 from iharazeta.families import (
     FAMILIES,
-    FAMILY_TAGS,
     NAMED_SMALL,
     FamilySpec,
     check_domain,
@@ -162,7 +161,7 @@ SPOT_SPECS = [
 
 def test_every_tag_is_spot_checked():
     covered = {parse_family_spec(t).tag for t in SPOT_SPECS}
-    assert covered == set(FAMILY_TAGS)
+    assert covered == set(FAMILIES)
 
 
 def test_spec_strings_round_trip():

@@ -96,24 +96,6 @@ def test_bool_is_not_an_int_operand():
         True * f
 
 
-def test_derivative():
-    p = IntPoly((1, 0, -6, 0, 9, 0, -4))  # the triple-edge fixture
-    assert p.derivative() == IntPoly((0, -12, 0, 36, 0, -24))
-    assert p.derivative(2).eval_at(1) == -24
-    assert p.derivative(0) == p
-    rng = random.Random(303)
-    for _ in range(50):
-        f, g = rand_poly(rng), rand_poly(rng)
-        assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
-        order = rng.randint(0, 10)
-        stepwise = f
-        for _ in range(order):
-            stepwise = stepwise.derivative()
-        assert f.derivative(order) == stepwise
-    with pytest.raises(ValueError):
-        p.derivative(-1)
-
-
 def test_eval_types():
     p = IntPoly((1, -2, 0, 3))
     assert p.eval_at(2) == 1 - 4 + 24

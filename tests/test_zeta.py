@@ -21,14 +21,17 @@ from iharazeta import multigraph, zeta
 from iharazeta.polydet import bareiss_int_det, reversed_charpoly
 from iharazeta.smallgraphs import connected_multigraphs
 from iharazeta.zeta import (
-    census_coefficient,
-    enumerate_directed_cycles,
-    linear_subgraph_census,
     oriented_line_graph,
     poly_invariants,
     zeta_bass,
     zeta_enum,
     zeta_line_det,
+)
+
+from census import (
+    census_coefficient,
+    enumerate_directed_cycles,
+    linear_subgraph_census,
 )
 
 
