@@ -161,17 +161,10 @@ def _three_vertex_graph(a1, a2, a3, b12, b13, b23):
 
 # --- closed forms ---
 
-def _complete_form(n):
-    return (
-        IntPoly.one_minus_u2_pow(n * (n - 3) // 2)
-        * IntPoly((1, 1, n - 2)) ** (n - 1)
-        * IntPoly((1, 1 - n, n - 2))
-    )
-
-
 def _complete_with_loops_form(n, k):
-    # Middle factor carries + (2k+n-2)u^2; the k = 0 case must reduce
-    # to the plain complete-graph formula, which pins the sign.
+    # k = 0 is the paper's K_n formula,
+    # (1 - u^2)^(n(n-3)/2) (1 + u + (n-2)u^2)^(n-1) (1 - (n-1)u + (n-2)u^2),
+    # and n = 1 is the bouquet of k loops.
     return (
         IntPoly.one_minus_u2_pow(n * (n - 3) // 2 + n * k)
         * IntPoly((1, 1 - 2 * k, 2 * k + n - 2)) ** (n - 1)
@@ -182,7 +175,7 @@ def _complete_with_loops_form(n, k):
 def _complete_bipartite_form(m, n):
     f = IntPoly((1, 0, m - 1))
     g = IntPoly((1, 0, n - 1))
-    bracket = f ** n * g ** m - m * n * IntPoly((0, 0, 1)) * f ** (n - 1) * g ** (m - 1)
+    bracket = f ** n * g ** m - IntPoly((0, 0, m * n)) * f ** (n - 1) * g ** (m - 1)
     return IntPoly.one_minus_u2_pow(m * n - m - n) * bracket
 
 
@@ -408,10 +401,8 @@ FAMILIES = {
         closed_form=lambda n: IntPoly.from_terms([(2 * n, 1), (n, -2), (0, 1)])),
     "Complete": Family(
         "K", 1, ((lambda n: n >= 3, "Complete needs n >= 3"),),
-        build=lambda n: Multigraph(
-            [(i, j) for i in range(n) for j in range(i + 1, n)], n
-        ),
-        closed_form=_complete_form,
+        build=lambda n: _complete_with_loops_graph(n, 0),
+        closed_form=lambda n: _complete_with_loops_form(n, 0),
         tree_count=lambda n: n ** (n - 2)),
     "CompleteWithLoops": Family(
         "Kl", 2,
@@ -473,9 +464,8 @@ FAMILIES = {
         tree_count=lambda m, n, l: m * n),
     "Bouquet": Family(
         "BQ", 1, ((lambda a: a >= 1, "Bouquet needs a >= 1"),),
-        build=lambda a: Multigraph([(0, 0)] * a, 1),
-        closed_form=lambda a: (IntPoly.one_minus_u2_pow(a - 1)
-                               * IntPoly((1, -2 * a, 2 * a - 1)))),
+        build=lambda a: _complete_with_loops_graph(1, a),
+        closed_form=lambda a: _complete_with_loops_form(1, a)),
     "Dumbbell": Family(
         "D", 3,
         ((lambda a, b, c: min(a, b) >= 0 and c >= 1,

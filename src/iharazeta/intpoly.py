@@ -2,7 +2,8 @@
 
 Every zeta reciprocal in this package is an IntPoly. Coefficients are plain
 Python ints (any other type is refused, not converted), index = power of u,
-so all arithmetic is exact by construction.
+so all arithmetic is exact by construction. Arithmetic and equality take
+IntPoly operands only: an int constant c is written IntPoly((c,)).
 The class is immutable and hashable, so polynomials can be set members and
 dict keys.
 """
@@ -92,8 +93,7 @@ class IntPoly:
     # --- arithmetic ---
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -103,26 +103,16 @@ class IntPoly:
             cs[i] += c
         return IntPoly(cs)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, IntPoly):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -134,8 +124,6 @@ class IntPoly:
             for j, bj in enumerate(b):
                 cs[i + j] += ai * bj
         return IntPoly(cs)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -161,11 +149,9 @@ class IntPoly:
     # --- comparison, hashing, display ---
 
     def __eq__(self, other):
-        if isinstance(other, IntPoly):
-            return self.coeffs == other.coeffs
-        if type(other) is int:
-            return self.coeffs == (() if other == 0 else (other,))
-        return NotImplemented
+        if not isinstance(other, IntPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -175,14 +161,6 @@ class IntPoly:
 
     def __str__(self):
         return format_poly(self)
-
-
-def _coerce(x):
-    if isinstance(x, IntPoly):
-        return x
-    if type(x) is int:
-        return IntPoly((x,))
-    return NotImplemented
 
 
 def format_poly(p: IntPoly) -> str:

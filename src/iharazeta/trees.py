@@ -5,8 +5,8 @@ cofactor is multigraph.kirchhoff_tree_count, and the per-family closed
 forms are families.tree_count_closed_form. The zeta route reads the
 count out of the r-th Taylor coefficient at u = 1 of the reciprocal
 zeta polynomial, where r is the cycle rank. The division it performs
-must come out exact; that exactness doubles as an end-to-end check that
-the polynomial and the rank belong to the same graph.
+must come out exact and give at least one tree; that doubles as a check
+that the polynomial and the rank belong to the same graph.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ def tree_count_from_zeta(poly: IntPoly, r: int) -> int:
     to k + 1. At r = 1 the divisor is zero and the coefficient carries no
     information, so r <= 1 is a ParameterError and callers should fall
     back to multigraph.kirchhoff_tree_count.
+
+    A wrong rank raises VerificationError where it shows: below the true
+    rank the coefficient is 0, and above it the division is mostly inexact
+    or gives fewer than one tree. It can still divide to a positive count.
     """
     if r <= 1:
         raise ParameterError(
@@ -42,5 +46,10 @@ def tree_count_from_zeta(poly: IntPoly, r: int) -> int:
         raise VerificationError(
             f"zeta Taylor coefficient {numerator} at u = 1 not divisible "
             f"by {divisor}; polynomial and rank do not match"
+        )
+    if kappa < 1:
+        raise VerificationError(
+            f"zeta Taylor coefficient {numerator} at u = 1 gives {kappa} "
+            "spanning trees; polynomial and rank do not match"
         )
     return kappa

@@ -19,7 +19,7 @@ ACCEPTANCE_CRITERIA = {
     5: "polynomial is even exactly for bipartite graphs, sweep-wide",
     6: "leading coefficient and girth readout identities, sweep-wide",
     7: "rank-two polynomials distinct to 12 edges; exhaustive to 6 edges",
-    8: "tree counts: zeta derivative = Kirchhoff; closed-form grids",
+    8: "tree counts: zeta Taylor coefficient = Kirchhoff; closed-form grids",
     9: "cycle-packing census matches the per-coefficient tables",
 }
 

@@ -456,6 +456,18 @@ def test_graph_files_outside_the_hypotheses_are_refused(
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["zeta", "trees"])
+def test_graph_file_that_is_not_utf8_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"n 3\n0 1\n1 2\n2 0\n\xff\n")
+    assert run([command, "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: cannot read {path}: ")
+
+
 def test_more_vertices_than_edges_is_rejected(tmp_path, capsys):
     # min degree 2 forces |V| <= |E|; the file is refused on its header
     # count, naming both counts, before any |V| x |V| table exists

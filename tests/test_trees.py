@@ -68,6 +68,24 @@ def test_wrong_rank_makes_the_division_inexact():
         tree_count_from_zeta(poly, 3)
 
 
+@pytest.mark.parametrize("text, r, kappa", [
+    # below the true rank the coefficient vanishes
+    ("K(4)", 2, 0),
+    ("K(5)", 2, 0),
+    ("K(5)", 3, 0),
+    ("K(5)", 4, 0),
+    ("K(5)", 5, 0),
+    # one above it the division can be exact and negative
+    ("K(4)", 4, -36),
+    ("K(5)", 7, -500),
+])
+def test_wrong_rank_below_one_tree_is_refused(text, r, kappa):
+    poly = zeta_bass(gen_family(parse_family_spec(text)))
+    with pytest.raises(VerificationError,
+                       match=rf" gives {kappa} spanning trees; "):
+        tree_count_from_zeta(poly, r)
+
+
 def test_rank_below_two_is_degenerate():
     poly = zeta_bass(gen_family(parse_family_spec("C(4)")))
     for r in (1, 0):
