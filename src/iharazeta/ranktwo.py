@@ -11,9 +11,13 @@ SharedPath when its three internal paths run p <= m - p <= n - p.
 decode_rank2 inverts the three closed forms: it reads the canonical spec
 back off a reciprocal zeta polynomial, so the zeta function determines a
 rank-two graph at every size the closed forms hold. completeness_check
-decodes the engine output of every canonical spec up to an edge budget
-and returns each spec with its polynomial; every column of the CLI's
-rank2 table is a readout of that polynomial.
+decodes the linedet polynomial, det(I - uT) on the oriented line graph,
+of every canonical spec up to an edge budget and returns each spec with
+its polynomial; every column of the CLI's rank2 table is a readout of
+that polynomial. linedet rather than Bass: every directed edge into a
+degree-2 vertex has exactly one successor, so on these graphs T is
+nearly a permutation matrix, with fewer nonzeros for the kernel than
+Bass's B.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from .errors import ParameterError, VerificationError
 from .families import FamilySpec, gen_family
 from .intpoly import IntPoly
-from .zeta import zeta_bass
+from .zeta import zeta_line_det
 
 RANK_TWO_TAGS = ("DoubleCycle", "SharedPath", "Handcuff")
 
@@ -93,18 +97,21 @@ def decode_rank2(poly: IntPoly) -> FamilySpec | None:
 
 
 def completeness_check(max_edges: int) -> tuple[tuple[FamilySpec, IntPoly], ...]:
-    """Decode the Bass polynomial of every canonical rank-two spec up to
-    max_edges edges back to that spec, and return the (spec, polynomial)
-    pairs in enumeration order.
+    """Decode the linedet polynomial (zeta_line_det) of every canonical
+    rank-two spec up to max_edges edges back to that spec, and return the
+    (spec, polynomial) pairs in enumeration order.
 
     A spec that decodes to anything else raises VerificationError naming
     both. Since the decoder is a function, success also shows the
     polynomials pairwise distinct. The edge count, leading coefficient,
-    girth and tree count are all readouts of the polynomial.
+    girth and tree count are all readouts of the polynomial. Each spec
+    makes one Bareiss determinant, the engine's output check at u = 2:
+    det(I - 2T) must equal (-3)^(r-1) det(I - 2A + 4Q) (Ihara-Bass), which
+    ties T to a second, vertex-indexed matrix.
     """
     pairs = []
     for spec in enumerate_rank2(max_edges):
-        poly = zeta_bass(gen_family(spec))
+        poly = zeta_line_det(gen_family(spec))
         decoded = decode_rank2(poly)
         if decoded != spec:
             raise VerificationError(

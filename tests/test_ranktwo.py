@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from iharazeta import multigraph, ranktwo
+from iharazeta import families, multigraph, ranktwo, zeta
 from iharazeta.errors import ParameterError, VerificationError
 from iharazeta.families import FamilySpec, closed_form, family_spec, gen_family
 from iharazeta.multigraph import kirchhoff_tree_count, parse_edge_list_text
@@ -16,7 +16,7 @@ from iharazeta.ranktwo import (
 )
 from iharazeta.smallgraphs import canonical_key
 from iharazeta.trees import tree_count_from_zeta
-from iharazeta.zeta import zeta_bass
+from iharazeta.zeta import zeta_bass, zeta_line_det
 
 
 def canonicalize(tag, *params):
@@ -172,8 +172,8 @@ def test_completeness_check_rows_are_reproducible():
 
 
 def test_completeness_check_makes_one_determinant_per_spec(monkeypatch):
-    # the check at u = 2 inside zeta_bass is the only Bareiss call; the
-    # tree counts are read off the polynomials
+    # the check at u = 2 inside zeta_line_det is the only Bareiss call;
+    # the tree counts are read off the polynomials
     calls = []
     real = multigraph.bareiss_int_det
 
@@ -187,9 +187,29 @@ def test_completeness_check_makes_one_determinant_per_spec(monkeypatch):
     assert calls == [gen_family(spec).n for spec, _ in pairs]
 
 
+def test_completeness_check_runs_linedet_once_per_spec(monkeypatch):
+    # each spec's polynomial is det(I - uT) on the oriented line graph;
+    # Bass runs nowhere in the package
+    calls = {"linedet": 0, "bass": 0}
+
+    def counting(name, engine):
+        def counted(g):
+            calls[name] += 1
+            return engine(g)
+        return counted
+
+    for module in (ranktwo, families, zeta):
+        for name, engine in (("linedet", zeta_line_det), ("bass", zeta_bass)):
+            if getattr(module, engine.__name__, None) is engine:
+                monkeypatch.setattr(module, engine.__name__,
+                                    counting(name, engine))
+    assert len(completeness_check(8)) == 66
+    assert calls == {"linedet": 66, "bass": 0}
+
+
 def test_collision_is_reported(monkeypatch):
     fixed = zeta_bass(gen_family(FamilySpec("DoubleCycle", (1, 1))))
-    monkeypatch.setattr(ranktwo, "zeta_bass", lambda g: fixed)
+    monkeypatch.setattr(ranktwo, "zeta_line_det", lambda g: fixed)
     with pytest.raises(VerificationError, match=r"G\(1,2\) decodes to G\(1,1\)"):
         completeness_check(3)
 

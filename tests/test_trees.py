@@ -13,7 +13,7 @@ from iharazeta.families import (
     parse_family_spec,
     tree_count_closed_form,
 )
-from iharazeta.multigraph import kirchhoff_tree_count
+from iharazeta.multigraph import kirchhoff_tree_count, parse_edge_list_text
 from iharazeta.trees import tree_count_from_zeta
 from iharazeta.zeta import zeta_bass
 
@@ -84,6 +84,27 @@ def test_wrong_rank_below_one_tree_is_refused(text, r, kappa):
     with pytest.raises(VerificationError,
                        match=rf" gives {kappa} spanning trees; "):
         tree_count_from_zeta(poly, r)
+
+
+@pytest.mark.parametrize("text, r", [
+    # the theta with a loop, rank 3 with 3 trees: at r = 5 the division
+    # gives 2
+    ("n 2\n0 0\n0 1\n0 1\n0 1\n", 5),
+    # rank 2 with 2 trees: at r = 4 the division gives 4
+    ("n 4\n0 0\n0 2\n1 2\n1 3\n1 3\n", 4),
+], ids=["theta-with-loop", "rank-two"])
+def test_wrong_rank_with_an_exact_positive_division_is_refused(text, r):
+    poly = zeta_bass(parse_edge_list_text(text))
+    with pytest.raises(VerificationError,
+                       match=rf"coefficient of order {r - 1} at u = 1 is "):
+        tree_count_from_zeta(poly, r)
+
+
+def test_every_wrong_rank_above_is_refused_on_sweep(sweep7, sweep7_bass):
+    for g, poly in zip(sweep7, sweep7_bass):
+        for r in range(max(g.rank + 1, 2), g.rank + 6):
+            with pytest.raises(VerificationError):
+                tree_count_from_zeta(poly, r)
 
 
 def test_rank_below_two_is_degenerate():

@@ -196,6 +196,28 @@ def test_engines_hand_the_kernel_permutation_similar_matrices():
         assert reversed_charpoly(t) == zeta_line_det(g)
 
 
+def test_line_det_builds_t_by_the_arc_rule(monkeypatch):
+    # the in-list build hands the kernel exactly the origin-sorted T of the
+    # arc rule, on every class of the 6-edge sweep (loops, their self-arcs,
+    # parallel edges) and on K(9)
+    seen = []
+
+    def capture(matrix):
+        seen.append(matrix)
+        return reversed_charpoly(matrix)
+
+    monkeypatch.setattr(zeta, "reversed_charpoly", capture)
+    for g in connected_multigraphs(6) + [complete(9)]:
+        seen.clear()
+        zeta_line_det(g)
+        origin, terminus = oriented_line_graph(g)
+        order = sorted(range(len(origin)), key=origin.__getitem__)
+        assert seen == [[
+            [int(j != i ^ 1 and terminus[j] == origin[i]) for j in order]
+            for i in order
+        ]]
+
+
 def test_ihara_bass_at_two_on_the_sweep_and_families():
     # the identity the output check rests on: (-3)^(r-1) det(I - 2A + 4Q)
     # = det(I - 2T), with A and Q = D - I from the edge list and T in edge
