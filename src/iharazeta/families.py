@@ -6,6 +6,10 @@ direct IntPoly arithmetic (never by calling the engines), and the
 closed-form spanning-tree count where one is published. verify_family
 pits the builder against the closed form, which is the package's main
 formula-level test surface.
+
+The regular families (Kl, with K and BQ as its cases, O and B) share
+_regular_form, Ihara's product over the adjacency spectrum; the double
+cycle G(m, n) is the handcuff H(m, n, 0), whose joining path is empty.
 """
 
 from __future__ import annotations
@@ -161,15 +165,27 @@ def _three_vertex_graph(a1, a2, a3, b12, b13, b23):
 
 # --- closed forms ---
 
+def _regular_form(spectrum):
+    """Ihara's product over a connected regular graph's adjacency spectrum.
+
+    spectrum lists (eigenvalue, multiplicity) pairs; a loop adds 2 to its
+    vertex's diagonal entry, as to its degree. With n the sum of the
+    multiplicities and q + 1 the largest eigenvalue (the degree),
+    1/zeta(u) = (1 - u^2)^(r-1) prod (1 - lambda u + q u^2), where
+    r - 1 = |E| - n = n(q - 1)/2 (Ihara, J. Math. Soc. Japan 18, 1966;
+    Terras, Zeta Functions of Graphs, 2011).
+    """
+    n = sum(mult for _, mult in spectrum)
+    q = max(lam for lam, _ in spectrum) - 1
+    small = IntPoly((1,))
+    for lam, mult in spectrum:
+        small = small * IntPoly((1, -lam, q)) ** mult
+    return IntPoly.one_minus_u2_pow(n * (q - 1) // 2) * small
+
+
 def _complete_with_loops_form(n, k):
-    # k = 0 is the paper's K_n formula,
-    # (1 - u^2)^(n(n-3)/2) (1 + u + (n-2)u^2)^(n-1) (1 - (n-1)u + (n-2)u^2),
-    # and n = 1 is the bouquet of k loops.
-    return (
-        IntPoly.one_minus_u2_pow(n * (n - 3) // 2 + n * k)
-        * IntPoly((1, 1 - 2 * k, 2 * k + n - 2)) ** (n - 1)
-        * IntPoly((1, -(n + 2 * k - 1), 2 * k + n - 2))
-    )
+    # k = 0 is the paper's K_n product and n = 1 the bouquet of k loops
+    return _regular_form([(n - 1 + 2 * k, 1), (2 * k - 1, n - 1)])
 
 
 def _complete_bipartite_form(m, n):
@@ -181,23 +197,12 @@ def _complete_bipartite_form(m, n):
 
 def _cocktail_party_form(order):
     h = order // 2
-    quartic = IntPoly((1, 2, 4 * h - 6, 4 * h - 6, (2 * h - 3) ** 2))
-    return (
-        IntPoly.one_minus_u2_pow(2 * h * h - 4 * h)
-        * quartic ** (h - 1)
-        * IntPoly((1, 0, 2 * h - 3))
-        * IntPoly((1, 2 - 2 * h, 2 * h - 3))
-    )
+    return _regular_form([(2 * h - 2, 1), (0, h), (-2, h - 1)])
 
 
 def _matching_deleted_form(order):
     h = order // 2
-    sq = IntPoly((1, 0, h - 2)) ** 2
-    return (
-        IntPoly.one_minus_u2_pow(h * (h - 3))
-        * (sq - IntPoly((0, 0, 1))) ** (h - 1)
-        * (sq - IntPoly((0, 0, (1 - h) ** 2)))
-    )
+    return _regular_form([(h - 1, 1), (1, h - 1), (-1, h - 1), (1 - h, 1)])
 
 
 def _mobius_ladder_form(n):
@@ -217,19 +222,6 @@ def _mobius_ladder_form(n):
     two_um = IntPoly.monomial(m, 2)
     return (IntPoly.one_minus_u2_pow(m)
             * (e[0] - two_um) * (e[1] + two_um))
-
-
-def _double_cycle_form(m, n):
-    return IntPoly.from_terms([
-        (2 * (m + n), -3),
-        (m + 2 * n, 2),
-        (2 * m + n, 2),
-        (2 * n, 1),
-        (2 * m, 1),
-        (n, -2),
-        (m, -2),
-        (0, 1),
-    ])
 
 
 def _shared_path_form(m, n, pp):
@@ -443,7 +435,7 @@ FAMILIES = {
         "G", 2, ((lambda m, n: min(m, n) >= 1, "DoubleCycle needs m, n >= 1"),),
         # both cycles through vertex 0
         build=lambda m, n: subdivide(1, [(0, 0)], [(m, n)]),
-        closed_form=_double_cycle_form,
+        closed_form=lambda m, n: _handcuff_form(m, n, 0),
         tree_count=lambda m, n: m * n),
     "SharedPath": Family(
         "Gp", 3,

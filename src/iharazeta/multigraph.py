@@ -153,13 +153,18 @@ def subdivide(n: int, slots, lengths) -> Multigraph:
     """Anchor vertices 0..n-1 joined by paths, one per entry of lengths.
 
     slots[i] = (v, w) is a pair of anchors (v == w closes a cycle at v) and
-    lengths[i] the lengths of the paths between them, each >= 1; a path of
-    length k adds k - 1 inner vertices, numbered after the anchors in slot
-    order.
+    lengths[i] the lengths of the paths between them, each >= 1 (else
+    InputError; unequal list lengths raise ValueError); a path of length k
+    adds k - 1 inner vertices, numbered after the anchors in slot order.
     """
     edges = []
-    for (v, w), slot in zip(slots, lengths):
+    for (v, w), slot in zip(slots, lengths, strict=True):
         for length in slot:
+            if length < 1:
+                raise InputError(
+                    f"slot {(v, w)!r} has a path of length {length}; "
+                    "each must be >= 1"
+                )
             path = [v, *range(n, n + length - 1), w]
             n += length - 1
             edges.extend(zip(path, path[1:]))

@@ -191,6 +191,27 @@ def test_closed_forms_match_engine():
         verify_family(parse_family_spec(text))  # raises on a mismatch
 
 
+def test_complete_form_is_the_papers_product_beyond_the_grids():
+    # (1 - u^2)^(n(n-3)/2) (1 + u + (n-2)u^2)^(n-1) (1 - (n-1)u + (n-2)u^2)
+    for n in range(3, 31):
+        printed = (IntPoly.one_minus_u2_pow(n * (n - 3) // 2)
+                   * IntPoly((1, 1, n - 2)) ** (n - 1)
+                   * IntPoly((1, -(n - 1), n - 2)))
+        assert closed_form(family_spec("Complete", n)) == printed, n
+
+
+def test_cocktail_party_form_is_the_quartic_product_beyond_the_grids():
+    # the eigenvalue-0 and eigenvalue-(-2) factors of O(2h), paired into
+    # (1 + 2u + (4h-6)u^2 + (4h-6)u^3 + (2h-3)^2 u^4)^(h-1)
+    for h in range(2, 16):
+        quartic = IntPoly((1, 2, 4 * h - 6, 4 * h - 6, (2 * h - 3) ** 2))
+        written = (IntPoly.one_minus_u2_pow(2 * h * h - 4 * h)
+                   * quartic ** (h - 1)
+                   * IntPoly((1, 0, 2 * h - 3))
+                   * IntPoly((1, 2 - 2 * h, 2 * h - 3)))
+        assert closed_form(family_spec("CocktailParty", 2 * h)) == written, h
+
+
 def test_moebius_ladder_numeric_form():
     spec = parse_family_spec("M(6)")
     verify_family(spec)  # raises on mismatch

@@ -24,6 +24,7 @@ from iharazeta.multigraph import (
     is_bipartite,
     kirchhoff_tree_count,
     parse_edge_list_text,
+    subdivide,
     validate_zeta_input,
     vertex_matrix,
 )
@@ -94,6 +95,31 @@ def test_build_rejects_bad_edges():
         Multigraph([(0, 1, 2)], 3)
     with pytest.raises(InputError):
         Multigraph([], 0)
+
+
+# --- subdivide ---
+
+def test_subdivide_refuses_a_zero_length_path_between_two_anchors():
+    with pytest.raises(InputError,
+                       match=r"slot \(0, 1\) has a path of length 0;"):
+        subdivide(2, [(0, 1)], [(0, 2)])
+
+
+def test_subdivide_refuses_a_negative_length():
+    with pytest.raises(InputError,
+                       match=r"slot \(0, 1\) has a path of length -1;"):
+        subdivide(2, [(0, 1)], [(-1, 3)])
+
+
+def test_subdivide_refuses_more_slots_than_length_tuples():
+    with pytest.raises(ValueError, match="zip"):
+        subdivide(2, [(0, 1), (1, 1)], [(1, 2)])
+
+
+def test_subdivide_names_a_zero_length_cycle():
+    with pytest.raises(InputError,
+                       match=r"slot \(0, 0\) has a path of length 0;"):
+        subdivide(1, [(0, 0)], [(0,)])
 
 
 # --- degrees and counts ---
