@@ -7,9 +7,10 @@ closed-form spanning-tree count where one is published. verify_family
 pits the builder against the closed form, which is the package's main
 formula-level test surface.
 
-The regular families (Kl, with K and BQ as its cases, O and B) share
-_regular_form, Ihara's product over the adjacency spectrum; the double
-cycle G(m, n) is the handcuff H(m, n, 0), whose joining path is empty.
+The closed forms are built five ways: Ihara's spectral product for the
+regular families (Kl, with K and BQ as its cases, O and B), the vertex
+determinant for D and T, Kb's 2 x 2 quotient, M's Dickson product, and
+term lists for C, G = H(m, n, 0), H, Gp and the fixed small graphs.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def check_domain(spec: FamilySpec) -> Family:
         raise ParameterError(
             f"{spec.tag} takes {family.arity} parameter(s), got {len(p)}"
         )
-    if spec.tag != "NamedSmall" and any(not isinstance(x, int) for x in p):
+    if spec.tag != "NamedSmall" and any(type(x) is not int for x in p):
         raise ParameterError(f"{spec.tag} parameters must be integers")
     for holds, message in family.domain:
         if not holds(*p):
@@ -189,10 +190,11 @@ def _complete_with_loops_form(n, k):
 
 
 def _complete_bipartite_form(m, n):
-    f = IntPoly((1, 0, m - 1))
-    g = IntPoly((1, 0, n - 1))
-    bracket = f ** n * g ** m - IntPoly((0, 0, m * n)) * f ** (n - 1) * g ** (m - 1)
-    return IntPoly.one_minus_u2_pow(m * n - m - n) * bracket
+    # the vectors summing to zero on either side give f^(n-1) g^(m-1), and
+    # the 2 x 2 quotient matrix over the two sides gives fg - mn u^2
+    f, g = IntPoly((1, 0, m - 1)), IntPoly((1, 0, n - 1))
+    h = f ** (n - 1) * g ** (m - 1) * (f * g - IntPoly((0, 0, m * n)))
+    return IntPoly.one_minus_u2_pow(m * n - m - n) * h
 
 
 def _cocktail_party_form(order):
@@ -258,29 +260,27 @@ def _handcuff_form(m, n, l):
     ])
 
 
-def _dumbbell_form(a, b, c):
-    f1 = IntPoly((1, -2 * a, 2 * a + c - 1))
-    f2 = IntPoly((1, -2 * b, 2 * b + c - 1))
-    return (IntPoly.one_minus_u2_pow(a + b + c - 2)
-            * (f1 * f2 - IntPoly((0, 0, c * c))))
+def _vertex_form(loops, mult):
+    """Ihara-Bass: (1 - u^2)^(|E| - |V|) det(I - Au + Qu^2), with no engine.
+
+    loops[v] counts v's loops, each adding 2 to A[v][v] and to v's degree;
+    mult is the symmetric table of the other edges, zero on its diagonal
+    (Bass, Int. J. Math. 3, 1992; Kotani and Sunada, J. Math. Sci. Univ.
+    Tokyo 7, 2000).
+    """
+    deg = [2 * ell + sum(row) for ell, row in zip(loops, mult)]
+    rows = [[IntPoly((1, -2 * loops[v], deg[v] - 1) if v == w else (0, -m))
+             for w, m in enumerate(row)] for v, row in enumerate(mult)]
+    return IntPoly.one_minus_u2_pow(sum(deg) // 2 - len(deg)) * _det(rows)
 
 
-def _three_vertex_form(a1, a2, a3, b12, b13, b23):
-    # Cofactor expansion of I - Au + Qu^2 done by hand, so this stays
-    # independent of the determinant engines.
-    d1 = IntPoly((1, -2 * a1, 2 * a1 + b12 + b13 - 1))
-    d2 = IntPoly((1, -2 * a2, 2 * a2 + b12 + b23 - 1))
-    d3 = IntPoly((1, -2 * a3, 2 * a3 + b13 + b23 - 1))
-    m12 = IntPoly((0, -b12))
-    m13 = IntPoly((0, -b13))
-    m23 = IntPoly((0, -b23))
-    det = (
-        d1 * (d2 * d3 - m23 * m23)
-        - m12 * (m12 * d3 - m23 * m13)
-        + m13 * (m12 * m23 - d2 * m13)
-    )
-    rank_less_1 = a1 + a2 + a3 + b12 + b13 + b23 - 3
-    return IntPoly.one_minus_u2_pow(rank_less_1) * det
+def _det(rows):
+    """Cofactor expansion along the first row, in IntPoly arithmetic."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(((-e if j & 1 else e)
+                * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+                for j, e in enumerate(rows[0])), IntPoly())
 
 
 # --- closed-form tree counts ---
@@ -465,7 +465,7 @@ FAMILIES = {
          (lambda a, b, c: min(2 * a + c, 2 * b + c) >= 2,
           "Dumbbell has a vertex of degree < 2")),
         build=_dumbbell_graph,
-        closed_form=_dumbbell_form),
+        closed_form=lambda a, b, c: _vertex_form((a, b), ((0, c), (c, 0)))),
     "ThreeVertex": Family(
         "T", 6,
         ((lambda *p: min(p) >= 0, "ThreeVertex parameters must be >= 0"),
@@ -475,7 +475,8 @@ FAMILIES = {
              2 * a1 + b12 + b13, 2 * a2 + b12 + b23, 2 * a3 + b13 + b23) >= 2,
           "ThreeVertex has a vertex of degree < 2")),
         build=_three_vertex_graph,
-        closed_form=_three_vertex_form),
+        closed_form=lambda a1, a2, a3, b12, b13, b23: _vertex_form(
+            (a1, a2, a3), ((0, b12, b13), (b12, 0, b23), (b13, b23, 0)))),
     "NamedSmall": Family(
         None, 1,
         ((lambda name: name in NAMED_SMALL, "unknown small-graph id {0!r}"),),

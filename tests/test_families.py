@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -94,6 +95,16 @@ def test_domain_arity_and_types():
         check_domain(family_spec("Cycle", "5"))
     with pytest.raises(InputError, match="unknown family tag 'Nope'"):
         check_domain(FamilySpec("Nope", (1,)))
+
+
+def test_domain_rejects_bool_parameters():
+    # bool is an int subclass: C(True) used to pass and give 1 - 2u + u^2
+    for tag, params in (("Cycle", (True,)), ("Handcuff", (1, True, 1)),
+                        ("ThreeVertex", (0, 0, 0, 1, 1, True))):
+        spec = FamilySpec(tag, params)
+        for call in (check_domain, gen_family, closed_form):
+            with pytest.raises(ParameterError, match="integer"):
+                call(spec)
 
 
 # --- generated structure ---
@@ -189,6 +200,37 @@ def test_wrong_arity_specs_print_and_are_rejected():
 def test_closed_forms_match_engine():
     for text in SPOT_SPECS:
         verify_family(parse_family_spec(text))  # raises on a mismatch
+
+
+def _in_domain(tag, *ranges):
+    specs = []
+    for params in product(*ranges):
+        try:
+            check_domain(FamilySpec(tag, params))
+        except ParameterError:
+            continue
+        specs.append(FamilySpec(tag, params))
+    return specs
+
+
+@pytest.mark.parametrize("tag, ranges, count", [
+    ("Dumbbell", (range(5), range(5), range(6)), 116),
+    ("ThreeVertex", (range(3),) * 6, 441),
+    ("CompleteBipartite", (range(11), range(11)), 81),
+], ids=("D", "T", "Kb"))
+def test_closed_forms_match_engine_on_grids(tag, ranges, count):
+    # every in-domain spec of the grid, against Bass on the built graph
+    specs = _in_domain(tag, *ranges)
+    assert len(specs) == count
+    for spec in specs:
+        verify_family(spec)  # raises on a mismatch
+
+
+def test_one_vertex_determinant_is_the_bouquets_spectral_product():
+    # ties the vertex determinant to _regular_form with no engine involved
+    for a in range(1, 15):
+        assert families._vertex_form((a,), ((0,),)) == closed_form(
+            family_spec("Bouquet", a)), a
 
 
 def test_complete_form_is_the_papers_product_beyond_the_grids():
