@@ -31,7 +31,7 @@ from .families import (
     tree_count_closed_form,
     verify_family,
 )
-from .intpoly import IntPoly, format_poly
+from .intpoly import IntPoly
 from .multigraph import (
     format_edge_list,
     kirchhoff_tree_count,
@@ -152,7 +152,7 @@ def _cmd_zeta(args) -> int:
                   ((name, k, c) for name, p in polys.items()
                    for k, c in enumerate(p.coeffs)))
     else:
-        print(format_poly(poly))
+        print(poly)
         if len(names) > 1:
             print(f"agreement: {' '.join(names)}")
     return 0
@@ -172,7 +172,7 @@ def _cmd_family(args) -> int:
     if args.format == "csv":
         _emit_csv(("power", "coeff"), enumerate(form.coeffs))
         return 0
-    print(format_poly(form))
+    print(form)
     if args.verify:
         print("verify: MATCH (exact match)")
     return 0

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .errors import InputError, ParameterError, VerificationError
 from .intpoly import IntPoly
-from .multigraph import Multigraph, subdivide
+from .multigraph import Multigraph, _decimal, subdivide
 from .zeta import zeta_bass
 
 
@@ -74,7 +74,7 @@ def parse_family_spec(text: str) -> FamilySpec:
         if tag not in FAMILIES or tag == "NamedSmall":
             raise InputError(f"unknown family name {name!r} in {text!r}")
         try:
-            params = tuple(int(p) for p in body.split(",")) if body else ()
+            params = tuple(map(_decimal, body.split(","))) if body else ()
         except ValueError as exc:
             raise InputError(f"non-integer parameter in {text!r}") from exc
         return FamilySpec(tag, params)
@@ -221,7 +221,7 @@ def _mobius_ladder_form(n):
         for _ in range(m - 1):
             prev, cur = cur, c * cur - u2 * prev
         e.append(cur)
-    two_um = IntPoly.monomial(m, 2)
+    two_um = IntPoly.from_terms([(m, 2)])
     return (IntPoly.one_minus_u2_pow(m)
             * (e[0] - two_um) * (e[1] + two_um))
 

@@ -2,7 +2,9 @@
 
 Every zeta reciprocal in this package is an IntPoly. Coefficients are plain
 Python ints (any other type is refused, not converted), index = power of u,
-so all arithmetic is exact by construction. Arithmetic and equality take
+so all arithmetic is exact by construction. A polynomial is written
+densely, IntPoly((c_0, c_1, ...)), or sparsely, IntPoly.from_terms of
+(power, coeff) pairs with int powers >= 0. Arithmetic and equality take
 IntPoly operands only: an int constant c is written IntPoly((c,)).
 The class is immutable and hashable, so polynomials can be set members and
 dict keys.
@@ -30,13 +32,6 @@ class IntPoly:
     # --- constructors ---
 
     @staticmethod
-    def monomial(power: int, coeff: int = 1) -> "IntPoly":
-        """coeff * u^power."""
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        return IntPoly((0,) * power + (coeff,))
-
-    @staticmethod
     def one_minus_u2_pow(k: int) -> "IntPoly":
         """(1 - u^2)^k from its binomial coefficients, with no products."""
         if k < 0:
@@ -49,9 +44,17 @@ class IntPoly:
 
     @staticmethod
     def from_terms(terms) -> "IntPoly":
-        """Sum of (power, coeff) pairs; repeated powers accumulate."""
+        """Sum of (power, coeff) pairs; repeated powers accumulate. Powers
+        and coefficients must be of type int (a bool or any other type
+        raises TypeError), and a power must be >= 0 (else ValueError)."""
         acc: dict[int, int] = {}
         for power, coeff in terms:
+            if type(power) is not int:
+                raise TypeError("IntPoly powers must be ints")
+            if type(coeff) is not int:
+                raise TypeError("IntPoly coefficients must be ints")
+            if power < 0:
+                raise ValueError("power must be >= 0")
             acc[power] = acc.get(power, 0) + coeff
         if not acc:
             return IntPoly()
@@ -75,9 +78,6 @@ class IntPoly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def is_even(self) -> bool:
         """True when every odd-power coefficient vanishes."""
@@ -160,28 +160,22 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
     def __str__(self):
-        return format_poly(self)
-
-
-def format_poly(p: IntPoly) -> str:
-    """Human form, e.g. ``1 - 2u^3 + u^6`` (constant term first)."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k in range(p.degree + 1):
-        c = p.coeff(k)
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else str(mag)
-            body = f"{head}u" if k == 1 else f"{head}u^{k}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts)
-
+        """Human form, e.g. ``1 - 2u^3 + u^6`` (constant term first)."""
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            sign = "-" if c < 0 else "+"
+            mag = abs(c)
+            if k == 0:
+                body = str(mag)
+            else:
+                head = "" if mag == 1 else str(mag)
+                body = f"{head}u" if k == 1 else f"{head}u^{k}"
+            if not parts:
+                parts.append(body if sign == "+" else f"-{body}")
+            else:
+                parts.append(f"{sign} {body}")
+        return " ".join(parts)

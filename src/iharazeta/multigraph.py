@@ -7,12 +7,13 @@ the adjacency matrix gets 2 on the diagonal per loop), which is load-bearing
 for engine agreement on bouquets and dumbbells.
 
 A Multigraph is built from an edge list, in one pass over its edges, and is
-immutable; it can be hashed and used as a dictionary key. Its vertex ids
-must be of type int (float, str and bool are refused, not converted). Its
-degrees, edge count and connectivity are stored at construction, and its
-zeta value at u = 2 is computed on first use and kept. Bass's vertex
-matrix I - uA + u^2 Q is built in one place, vertex_matrix: at u = 2 for
-that value, at u = 1 (the Laplacian) for the spanning-tree count.
+immutable; it can be hashed and used as a dictionary key. Its vertex count
+and vertex ids must be of type int (float, str and bool are refused, not
+converted), and the text reader takes ASCII decimals only. Its degrees,
+edge count and connectivity are stored at construction, and its zeta value
+at u = 2 is computed on first use and kept. Bass's vertex matrix
+I - uA + u^2 Q is built in one place, vertex_matrix: at u = 2 for that
+value, at u = 1 (the Laplacian) for the spanning-tree count.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class Multigraph:
                  "_at_two")
 
     def __init__(self, edge_list, n_vertices: int):
+        if type(n_vertices) is not int:
+            raise InputError(f"n_vertices must be an int, got {n_vertices!r}")
         if n_vertices < 1:
             raise InputError("n_vertices must be >= 1")
         loops = [0] * n_vertices
@@ -95,9 +98,6 @@ class Multigraph:
 
     # --- counts and degrees, stored at construction ---
 
-    def degree(self, v: int) -> int:
-        return self._degrees[v]
-
     def degrees(self):
         return self._degrees
 
@@ -140,8 +140,9 @@ def vertex_matrix(g: Multigraph, u: int):
     """Bass's I - uA + u^2 Q at an integer u, as rows of ints: A has 2 per
     loop on its diagonal (a loop adds 2 to a degree), Q = D - I."""
     rows = [[-u * x for x in row] for row in g.mult]
+    degrees = g.degrees()
     for v, row in enumerate(rows):
-        row[v] = 1 - 2 * u * g.loops[v] + u * u * (g.degree(v) - 1)
+        row[v] = 1 - 2 * u * g.loops[v] + u * u * (degrees[v] - 1)
     return rows
 
 
@@ -153,17 +154,18 @@ def subdivide(n: int, slots, lengths) -> Multigraph:
     """Anchor vertices 0..n-1 joined by paths, one per entry of lengths.
 
     slots[i] = (v, w) is a pair of anchors (v == w closes a cycle at v) and
-    lengths[i] the lengths of the paths between them, each >= 1 (else
-    InputError; unequal list lengths raise ValueError); a path of length k
-    adds k - 1 inner vertices, numbered after the anchors in slot order.
+    lengths[i] the lengths of the paths between them, each an int >= 1
+    (else InputError; unequal list lengths raise ValueError); a path of
+    length k adds k - 1 inner vertices, numbered after the anchors in slot
+    order.
     """
     edges = []
     for (v, w), slot in zip(slots, lengths, strict=True):
         for length in slot:
-            if length < 1:
+            if type(length) is not int or length < 1:
                 raise InputError(
-                    f"slot {(v, w)!r} has a path of length {length}; "
-                    "each must be >= 1"
+                    f"slot {(v, w)!r} has a path of length {length!r}; "
+                    "each must be an int >= 1"
                 )
             path = [v, *range(n, n + length - 1), w]
             n += length - 1
@@ -172,6 +174,14 @@ def subdivide(n: int, slots, lengths) -> Multigraph:
 
 
 # --- edge-list text format (the one reader, shared by the CLI and library) ---
+
+def _decimal(field: str) -> int:
+    """int(field), refusing with ValueError the "1_0" and the non-ASCII
+    digits that int() would read."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return int(field)
+
 
 def parse_edge_list_text(text: str) -> Multigraph:
     """Parse the text format: header ``n <count>``, then ``u v`` lines.
@@ -194,14 +204,14 @@ def parse_edge_list_text(text: str) -> Multigraph:
                     f"line {lineno}: expected header 'n <vertex_count>', got {raw!r}"
                 )
             try:
-                n_vertices = int(fields[1])
+                n_vertices = _decimal(fields[1])
             except ValueError as exc:
                 raise InputError(f"line {lineno}: bad vertex count") from exc
             continue
         if len(fields) != 2:
             raise InputError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
-            edges.append((int(fields[0]), int(fields[1])))
+            edges.append((_decimal(fields[0]), _decimal(fields[1])))
         except ValueError as exc:
             raise InputError(f"line {lineno}: bad vertex index") from exc
     if n_vertices is None:

@@ -2,16 +2,17 @@
 
 The engine-agreement sweep and the rank-two exhaustiveness audit both need
 every connected multigraph of minimum degree two with a bounded edge count.
-Rank one gives the cycles. Every class of rank r >= 2 is a subdivision of
-its kernel, the multigraph left when each degree-2 vertex is suppressed:
-connected, minimum degree >= 3, at most 2(r - 1) vertices and 3(r - 1)
-edges. So the generator takes one table per kernel class, gives each loop
-set and each parallel class a multiset of path lengths in every way the
-edge budget allows, and keeps the first graph met per canonical key: a
-kernel automorphism can carry one assignment onto another, and the key
-is what finds those repeats. The kernels are few and small, so brute
-force over their multiplicity tables finds them; the sweep is practical
-to 9 edges (6,114 classes).
+Every class is a subdivision of its kernel, the multigraph left when each
+degree-2 vertex is suppressed. At rank one the kernel is a single loop, and
+its subdivisions are the cycles; at rank r >= 2 it is connected, with
+minimum degree >= 3, at most 2(r - 1) vertices and 3(r - 1) edges. So the
+generator takes the single loop and one table per kernel class of higher
+rank, gives each loop set and each parallel class a multiset of path
+lengths in every way the edge budget allows, and keeps the first graph met
+per canonical key: a kernel automorphism can carry one assignment onto
+another, and the key is what finds those repeats. The kernels of rank
+>= 2 are few and small, so brute force over their multiplicity tables
+finds them; the sweep is practical to 9 edges (6,114 classes).
 
 Isomorphism reduction, of the kernels and of their subdivisions alike,
 and the order of the output use one canonical key per class, found by
@@ -77,8 +78,7 @@ def canonical_key(g: Multigraph) -> tuple:
         [(g.mult[v][w], w) for w in range(n) if g.mult[v][w]]
         for v in range(n)
     ]
-    return _search(g, nbrs, _ranks([(g.degree(v), g.loops[v])
-                                    for v in range(n)]))
+    return _search(g, nbrs, _ranks(list(zip(g.degrees(), g.loops))))
 
 
 def _search(g, nbrs, colour):
@@ -197,12 +197,10 @@ def _length_assignments(counts, budget):
 
 
 def _subdivisions(max_edges):
-    """Every subdivision with at most max_edges edges of every kernel, and
-    the cycles; isomorphic graphs repeat."""
-    # rank one: a loop at one vertex, subdivided into each cycle length
-    for length in range(1, max_edges + 1):
-        yield subdivide(1, [(0, 0)], [(length,)])
-    for kernel in _table_classes(max_edges, 3):
+    """Every subdivision with at most max_edges edges of every kernel, the
+    single loop (whose subdivisions are the cycles) first; isomorphic
+    graphs repeat."""
+    for kernel in [Multigraph([(0, 0)], 1), *_table_classes(max_edges, 3)]:
         n = kernel.n
         slots, counts = [], []
         for v in range(n):
@@ -219,8 +217,9 @@ def connected_multigraphs(max_edges: int):
     """All connected multigraphs with minimum degree >= 2 and at most
     max_edges edges, one representative per isomorphism class.
 
-    Rank one is the cycles; every other class is built as a subdivision of
-    a kernel (see the module docstring), with the kernel's vertices first.
+    Every class is built as a subdivision of a kernel (see the module
+    docstring), with the kernel's vertices first; rank one's kernel is a
+    single loop, whose subdivisions are the cycles.
     The first graph met per canonical key is kept; length assignments come
     in lexicographic order, so that is the least assignment of its class.
     Order is deterministic: by edge count, then vertex count, then the

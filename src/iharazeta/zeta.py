@@ -128,13 +128,14 @@ def zeta_bass(g: Multigraph) -> IntPoly:
     """
     validate_zeta_input(g)
     n = g.n
+    degrees = g.degrees()
     b = []
     for v, row in enumerate(g.mult):
         y_row, x_row = [0] * (2 * n), [0] * (2 * n)
         y_row[2 * v + 1] = 1
         x_row[1::2] = row
         x_row[2 * v + 1] = 2 * g.loops[v]
-        x_row[2 * v] = 1 - g.degree(v)
+        x_row[2 * v] = 1 - degrees[v]
         b += (y_row, x_row)
     poly = IntPoly.one_minus_u2_pow(g.rank - 1) * reversed_charpoly(b)
     return _checked(poly, "bass", g)

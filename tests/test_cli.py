@@ -19,7 +19,7 @@ from iharazeta.families import (
     parse_family_spec,
     tree_count_closed_form,
 )
-from iharazeta.intpoly import IntPoly, format_poly
+from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import (
     format_edge_list,
     kirchhoff_tree_count,
@@ -158,7 +158,7 @@ def test_family_moebius_paths(tmp_path, capsys):
     assert rows == ["power,coeff"] + [f"{k},{c}" for k, c in enumerate(coeffs)]
     assert run(["family", "--spec", "M(8)"]) == 0
     human = capsys.readouterr().out
-    assert human == format_poly(IntPoly([int(c) for c in coeffs])) + "\n"
+    assert human == f"{IntPoly([int(c) for c in coeffs])}\n"
 
 
 def test_family_csv(capsys):
@@ -171,7 +171,7 @@ def test_family_verify_failure_prints_no_closed_form(monkeypatch, capsys):
     real = families.closed_form
 
     def wrong(spec):
-        return real(spec) + IntPoly.monomial(2)
+        return real(spec) + IntPoly.from_terms([(2, 1)])
 
     monkeypatch.setattr(families, "closed_form", wrong)
     monkeypatch.setattr(cli, "closed_form", wrong)

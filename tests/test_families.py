@@ -52,6 +52,10 @@ def test_parse_rejects_malformed_specs():
             parse_family_spec(text)
     with pytest.raises(InputError):
         family_spec("Nope", 1)
+    # int() would read these as K(10), K(3) and G(3,4)
+    for text in ("K(1_0)", "K(\u0663)", "G(3,\u00a04)"):
+        with pytest.raises(InputError, match="non-integer parameter"):
+            parse_family_spec(text)
 
 
 # --- parameter domains ---
@@ -322,7 +326,7 @@ def test_even_closed_form_tracks_bipartiteness():
 
 def test_verify_family_names_first_mismatching_power(monkeypatch):
     n, edges, poly = families.NAMED_SMALL["triple-edge"]
-    bad = poly + IntPoly.monomial(2)
+    bad = poly + IntPoly.from_terms([(2, 1)])
     monkeypatch.setitem(families.NAMED_SMALL, "triple-edge", (n, edges, bad))
     with pytest.raises(VerificationError, match=r"u\^2"):
         verify_family(family_spec("NamedSmall", "triple-edge"))

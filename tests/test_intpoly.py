@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from iharazeta.intpoly import IntPoly, format_poly
+from iharazeta.intpoly import IntPoly
 
 
 def rand_poly(rng, max_degree=8, bound=50):
@@ -17,7 +17,7 @@ def test_normalization_strips_trailing_zeros():
     p = IntPoly((1, 2, 0, 0))
     assert p.coeffs == (1, 2)
     assert p.degree == 1
-    assert IntPoly((0, 0)).is_zero()
+    assert IntPoly((0, 0)) == IntPoly()
     assert IntPoly().degree == -1
 
 
@@ -31,11 +31,26 @@ def test_refuses_coefficients_that_are_not_ints(bad):
 
 
 def test_constructors():
-    assert IntPoly().is_zero()
+    assert IntPoly().coeffs == ()
     assert IntPoly([-7]) == IntPoly((-7,))
-    assert IntPoly.monomial(3) == IntPoly((0, 0, 0, 1))
-    assert IntPoly.monomial(2, -5) == IntPoly((0, 0, -5))
-    assert IntPoly.monomial(0, 0).is_zero()
+    assert IntPoly.from_terms([(3, 1)]) == IntPoly((0, 0, 0, 1))
+    assert IntPoly.from_terms([(2, -5)]) == IntPoly((0, 0, -5))
+    assert IntPoly.from_terms([(0, 0)]) == IntPoly()
+
+
+def test_from_terms_refuses_a_negative_power():
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        IntPoly.from_terms([(3, 1), (-1, 5)])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"],
+                         ids=["bool", "float", "str"])
+def test_from_terms_refuses_powers_and_coefficients_that_are_not_ints(bad):
+    # refused, not converted: a bool power or coefficient would be read as 1
+    with pytest.raises(TypeError, match="powers must be ints"):
+        IntPoly.from_terms([(bad, 1)])
+    with pytest.raises(TypeError, match="coefficients must be ints"):
+        IntPoly.from_terms([(1, bad)])
 
 
 def test_from_terms_accumulates_and_cancels():
@@ -112,8 +127,9 @@ def test_queries():
 
 def test_format_poly():
     p = IntPoly((1, 0, 0, -2, 0, 0, 1))
-    assert format_poly(p) == "1 - 2u^3 + u^6"
-    assert format_poly(IntPoly()) == "0"
+    assert str(p) == "1 - 2u^3 + u^6"
+    assert str(IntPoly()) == "0"
+    assert str(IntPoly((0, -1, 3))) == "-u + 3u^2"
 
 
 def test_hash_and_eq():

@@ -178,7 +178,7 @@ def test_reversed_charpoly_singular_nilpotent_permutation():
                 v = perm[v]
                 length += 1
             if length:
-                expected = expected * (IntPoly((1,)) - IntPoly.monomial(length))
+                expected *= IntPoly.from_terms([(0, 1), (length, -1)])
         assert assert_matches_bareiss(p) == expected
 
 

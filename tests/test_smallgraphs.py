@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 from collections import Counter, defaultdict
 from itertools import combinations
@@ -10,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from iharazeta.families import gen_family, parse_family_spec
-from iharazeta.multigraph import Multigraph
+from iharazeta.multigraph import Multigraph, format_edge_list
 from iharazeta.smallgraphs import (
     _table_classes,
     canonical_key,
@@ -51,6 +52,14 @@ def test_class_counts_from_sweep(sweep7):
     by_edges = Counter(g.edge_count for g in sweep7)
     assert sum(v for k, v in by_edges.items() if k <= 6) == 156
     assert sum(by_edges.values()) == 489
+
+
+def test_sweep_representatives_are_frozen(sweep7):
+    # the edge lists themselves, not only their count: a change to the
+    # generator must keep the same representative of every class
+    text = "".join(format_edge_list(g) for g in sweep7)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "878c3ccfa0882ec93c34939121df0d50469613d29a6fde5a23f58ebed8873ff4")
 
 
 def test_all_classes_up_to_three_edges_are_the_expected_ones():

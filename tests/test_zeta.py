@@ -105,9 +105,10 @@ def test_line_graph_degrees_follow_endpoint_degrees():
         origin, terminus = oriented_line_graph(g)
         out = arcs(origin, terminus)
         into = in_degrees(out)
+        degrees = g.degrees()
         for i in range(len(origin)):
-            assert len(out[i]) == g.degree(origin[i]) - 1
-            assert into[i] == g.degree(terminus[i]) - 1
+            assert len(out[i]) == degrees[origin[i]] - 1
+            assert into[i] == degrees[terminus[i]] - 1
 
 
 def test_line_graph_degree_signature_of_joined_cycles():
@@ -247,7 +248,7 @@ def test_ihara_bass_at_two_on_the_sweep_and_families():
 
 def test_cycle_fixtures():
     for n in range(1, 6):
-        expected = (IntPoly((1,)) - IntPoly.monomial(n)) ** 2
+        expected = IntPoly.from_terms([(0, 1), (n, -1)]) ** 2
         for engine in (zeta_bass, zeta_line_det, zeta_enum):
             assert engine(cycle(n)) == expected
 
@@ -351,7 +352,7 @@ def test_wrong_degree_fails_the_output_check(monkeypatch, engine):
         # p + (u - 2) u^(deg p + 1) has the value of p at u = 2, so only
         # the degree check can catch it
         p = reversed_charpoly(matrix)
-        return p + IntPoly((-2, 1)) * IntPoly.monomial(p.degree + 1)
+        return p + IntPoly((-2, 1)) * IntPoly.from_terms([(p.degree + 1, 1)])
 
     monkeypatch.setattr(zeta, "reversed_charpoly", two_terms_too_long)
     with pytest.raises(VerificationError,
