@@ -10,7 +10,9 @@ formula-level test surface.
 The closed forms are built five ways: Ihara's spectral product for the
 regular families (Kl, with K and BQ as its cases, O and B), the vertex
 determinant for D and T, Kb's 2 x 2 quotient, M's Dickson product, and
-term lists for C, G = H(m, n, 0), H, Gp and the fixed small graphs.
+the kernel polynomials Z_K of the one-loop, handcuff and theta kernels
+in the path monomials u^l for C, G = H(m, n, 0), H and Gp. Only the
+fixed small graphs keep term lists.
 """
 
 from __future__ import annotations
@@ -227,37 +229,20 @@ def _mobius_ladder_form(n):
 
 
 def _shared_path_form(m, n, pp):
-    return IntPoly.from_terms([
-        (2 * m + 2 * n - 2 * pp, -4),
-        (2 * m + 2 * n - 4 * pp, 1),
-        (m + 2 * n - 2 * pp, 2),
-        (2 * m + n - 2 * pp, 2),
-        (2 * n, 1),
-        (2 * m, 1),
-        (m + n, 2),
-        (m + n - 2 * pp, -2),
-        (n, -2),
-        (m, -2),
-        (0, 1),
-    ])
+    # The theta kernel's Z_K = (1 - e2)^2 - 4 e3^2 in the path monomials
+    # u^pp, u^(m-pp), u^(n-pp), so e2 = u^m + u^n + u^(m+n-2pp) and
+    # e3 = u^|E| (Stark and Terras, Adv. Math. 121, 1996).
+    b = IntPoly.from_terms([(0, 1), (m, -1), (n, -1), (m + n - 2 * pp, -1)])
+    return b * b - IntPoly.from_terms([(2 * (m + n - pp), 4)])
 
 
 def _handcuff_form(m, n, l):
-    return IntPoly.from_terms([
-        (2 * (m + n + l), -4),
-        (2 * (m + n), 1),
-        (2 * m + n + 2 * l, 4),
-        (m + 2 * n + 2 * l, 4),
-        (2 * m + n, -2),
-        (m + 2 * n, -2),
-        (m + n + 2 * l, -4),
-        (m + n, 4),
-        (2 * n, 1),
-        (2 * m, 1),
-        (n, -2),
-        (m, -2),
-        (0, 1),
-    ])
+    # The handcuff kernel's Z_K = a (a - 4 x y z^2), a = (1 - x)(1 - y), at
+    # the loops x = u^m, y = u^n and the bridge z = u^l; l = 0 is the
+    # figure eight (Stark and Terras, Adv. Math. 121, 1996).
+    a = (IntPoly.from_terms([(0, 1), (m, -1)])
+         * IntPoly.from_terms([(0, 1), (n, -1)]))
+    return a * (a - IntPoly.from_terms([(m + n + 2 * l, 4)]))
 
 
 def _vertex_form(loops, mult):
@@ -390,7 +375,8 @@ FAMILIES = {
     "Cycle": Family(
         "C", 1, ((lambda n: n >= 1, "Cycle needs n >= 1"),),
         build=lambda n: subdivide(1, [(0, 0)], [(n,)]),
-        closed_form=lambda n: IntPoly.from_terms([(2 * n, 1), (n, -2), (0, 1)])),
+        # the one-loop kernel's Z_K = (1 - x)^2 at x = u^n
+        closed_form=lambda n: IntPoly.from_terms([(0, 1), (n, -1)]) ** 2),
     "Complete": Family(
         "K", 1, ((lambda n: n >= 3, "Complete needs n >= 3"),),
         build=lambda n: _complete_with_loops_graph(n, 0),

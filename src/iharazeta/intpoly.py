@@ -4,10 +4,10 @@ Every zeta reciprocal in this package is an IntPoly. Coefficients are plain
 Python ints (any other type is refused, not converted), index = power of u,
 so all arithmetic is exact by construction. A polynomial is written
 densely, IntPoly((c_0, c_1, ...)), or sparsely, IntPoly.from_terms of
-(power, coeff) pairs with int powers >= 0. Arithmetic and equality take
-IntPoly operands only: an int constant c is written IntPoly((c,)).
-The class is immutable and hashable, so polynomials can be set members and
-dict keys.
+(power, coeff) pairs. Every power, there and in ** and one_minus_u2_pow,
+is an int >= 0. Arithmetic and equality take IntPoly operands only: an
+int constant c is written IntPoly((c,)). The class is immutable and
+hashable, so polynomials can be set members and dict keys.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ class IntPoly:
     @staticmethod
     def one_minus_u2_pow(k: int) -> "IntPoly":
         """(1 - u^2)^k from its binomial coefficients, with no products."""
-        if k < 0:
-            raise ValueError("negative power")
+        _check_power(k)
         cs, binom = [], 1
         for i in range(k + 1):
             cs += (-binom if i & 1 else binom, 0)
@@ -49,12 +48,9 @@ class IntPoly:
         raises TypeError), and a power must be >= 0 (else ValueError)."""
         acc: dict[int, int] = {}
         for power, coeff in terms:
-            if type(power) is not int:
-                raise TypeError("IntPoly powers must be ints")
+            _check_power(power)
             if type(coeff) is not int:
                 raise TypeError("IntPoly coefficients must be ints")
-            if power < 0:
-                raise ValueError("power must be >= 0")
             acc[power] = acc.get(power, 0) + coeff
         if not acc:
             return IntPoly()
@@ -126,15 +122,14 @@ class IntPoly:
         return IntPoly(cs)
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
+        # left-to-right binary powering: each product is used, and every
+        # multiplication by the base is by self, not by a square of it
+        _check_power(n)
         result = IntPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for bit in f"{n:b}":
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # --- evaluation ---
@@ -179,3 +174,12 @@ class IntPoly:
             else:
                 parts.append(f"{sign} {body}")
         return " ".join(parts)
+
+
+def _check_power(k):
+    """Refuse a power that is not of type int (a bool included) with
+    TypeError, and a negative one with ValueError."""
+    if type(k) is not int:
+        raise TypeError("IntPoly powers must be ints")
+    if k < 0:
+        raise ValueError("power must be >= 0")

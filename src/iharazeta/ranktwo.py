@@ -65,7 +65,8 @@ def decode_rank2(poly: IntPoly) -> FamilySpec | None:
     it is 1 at rank one and at least 5 in size above rank two. At rank
     two it is -3 (one vertex of degree 4: DoubleCycle) or -4 (two of
     degree 3: SharedPath, Handcuff). Let E be half the degree and m the
-    first power after u^0 with a nonzero coefficient. Term by term:
+    first power after u^0 with a nonzero coefficient. The powers listed
+    below are those of the expanded closed forms. Term by term:
 
     - DoubleCycle(m, n): the powers are 0, m, n, 2m, 2n, 2m+n, m+2n and
       2E = 2(m + n), so m is the smallest and n = E - m.

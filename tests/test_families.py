@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -228,6 +228,49 @@ def test_closed_forms_match_engine_on_grids(tag, ranges, count):
     assert len(specs) == count
     for spec in specs:
         verify_family(spec)  # raises on a mismatch
+
+
+@pytest.mark.parametrize("text", ["H(1,3,9)", "Gp(4,10,1)", "G(1,3)", "C(1)"])
+def test_rank_two_forms_hold_at_every_length(text):
+    """Bass at path lengths 1, 3, 9 fixes each rank <= 2 form everywhere.
+
+    A subdivided kernel K has 1/zeta = Z_K(u^l_1, ..., u^l_k), one integer
+    polynomial Z_K of degree at most 2 in each path variable (Stark and
+    Terras, Adv. Math. 121, 1996), and each closed form is written as such
+    a polynomial in the path monomials. At lengths (1, 3, 9) the monomial
+    x^a y^b z^c becomes u^(a + 3b + 9c), one power per (a, b, c) with
+    a, b, c <= 2, so equal polynomials in u here are equal polynomials in
+    x, y, z, and the form equals Bass at every length. H(1,3,9) has loops
+    1, 3 and bridge 9, Gp(4,10,1) paths 1, 3, 9, G(1,3) loops 1, 3 and
+    C(1) the one loop.
+    """
+    verify_family(parse_family_spec(text))  # raises on a mismatch
+
+
+def test_theta_form_is_symmetric_in_its_three_paths():
+    # paths (x, y, z) are Gp(x + y, x + z, x); the form must not depend on
+    # which path is the shared one, nor on the order of the other two
+    def theta(x, y, z):
+        return closed_form(family_spec("SharedPath", x + y, x + z, x))
+
+    for paths in product(range(1, 9), repeat=3):
+        form = theta(*paths)
+        for order in permutations(paths):
+            assert theta(*order) == form, order
+    for paths in product(range(1, 4), repeat=3):
+        form = theta(*paths)
+        for x, y, z in permutations(paths):
+            graph = gen_family(family_spec("SharedPath", x + y, x + z, x))
+            assert zeta_bass(graph) == form, (x, y, z)
+
+
+def test_handcuff_form_is_symmetric_in_its_loops():
+    for m, n in product(range(1, 13), repeat=2):
+        assert closed_form(family_spec("DoubleCycle", m, n)) == closed_form(
+            family_spec("DoubleCycle", n, m)), (m, n)
+        for l in range(1, 8):
+            assert closed_form(family_spec("Handcuff", m, n, l)) == (
+                closed_form(family_spec("Handcuff", n, m, l))), (m, n, l)
 
 
 def test_one_vertex_determinant_is_the_bouquets_spectral_product():

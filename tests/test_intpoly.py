@@ -80,6 +80,23 @@ def test_pow():
     assert f ** 5 == IntPoly((1, 5, 10, 10, 5, 1))
     with pytest.raises(ValueError):
         f ** -1
+    for f in (IntPoly((1, 1, 78)), IntPoly((1, -3, 2)), IntPoly((0, 2, -1)),
+              IntPoly((1, 0, 0, 0, -5))):
+        product = IntPoly((1,))
+        for k in range(41):
+            assert f ** k == product, (f, k)
+            product = product * f
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"],
+                         ids=["bool", "float", "str"])
+def test_exponents_that_are_not_ints_are_refused(bad):
+    # a bool exponent would be read as 1, and a float or str would fail
+    # inside the powering loop with an unrelated message
+    with pytest.raises(TypeError, match="powers must be ints"):
+        IntPoly((1, 1)) ** bad
+    with pytest.raises(TypeError, match="powers must be ints"):
+        IntPoly.one_minus_u2_pow(bad)
 
 
 def test_one_minus_u2_pow_matches_repeated_products():
