@@ -186,14 +186,17 @@ def _cmd_trees(args) -> int:
     else:
         g = _load_graph(args.graph)
     # the standing hypotheses, before any count: Kirchhoff alone would
-    # count the trees of a graph with a degree-1 vertex
-    validate_zeta_input(g)
+    # count the trees of a graph with a degree-1 vertex. zeta_bass checks
+    # them first, so a graph of rank >= 2 is checked once
+    if g.rank >= 2:
+        poly = zeta_bass(g)
+    else:
+        validate_zeta_input(g)
     methods = []
     if spec is not None and FAMILIES[spec.tag].tree_count is not None:
         methods.append(("closed-form", tree_count_closed_form(spec)))
     if g.rank >= 2:
-        methods.append(("zeta-derivative",
-                        tree_count_from_zeta(zeta_bass(g), g.rank)))
+        methods.append(("zeta-derivative", tree_count_from_zeta(poly, g.rank)))
     methods.append(("kirchhoff", kirchhoff_tree_count(g)))
     first, kappa = methods[0]
     differing = [name for name, v in methods if v != kappa]

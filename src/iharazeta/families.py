@@ -183,7 +183,7 @@ def _regular_form(spectrum):
     small = IntPoly((1,))
     for lam, mult in spectrum:
         small = small * IntPoly((1, -lam, q)) ** mult
-    return IntPoly.one_minus_u2_pow(n * (q - 1) // 2) * small
+    return small.times_one_minus_u2_pow(n * (q - 1) // 2)
 
 
 def _complete_with_loops_form(n, k):
@@ -196,7 +196,7 @@ def _complete_bipartite_form(m, n):
     # the 2 x 2 quotient matrix over the two sides gives fg - mn u^2
     f, g = IntPoly((1, 0, m - 1)), IntPoly((1, 0, n - 1))
     h = f ** (n - 1) * g ** (m - 1) * (f * g - IntPoly((0, 0, m * n)))
-    return IntPoly.one_minus_u2_pow(m * n - m - n) * h
+    return h.times_one_minus_u2_pow(m * n - m - n)
 
 
 def _cocktail_party_form(order):
@@ -224,8 +224,7 @@ def _mobius_ladder_form(n):
             prev, cur = cur, c * cur - u2 * prev
         e.append(cur)
     two_um = IntPoly.from_terms([(m, 2)])
-    return (IntPoly.one_minus_u2_pow(m)
-            * (e[0] - two_um) * (e[1] + two_um))
+    return ((e[0] - two_um) * (e[1] + two_um)).times_one_minus_u2_pow(m)
 
 
 def _shared_path_form(m, n, pp):
@@ -256,7 +255,7 @@ def _vertex_form(loops, mult):
     deg = [2 * ell + sum(row) for ell, row in zip(loops, mult)]
     rows = [[IntPoly((1, -2 * loops[v], deg[v] - 1) if v == w else (0, -m))
              for w, m in enumerate(row)] for v, row in enumerate(mult)]
-    return IntPoly.one_minus_u2_pow(sum(deg) // 2 - len(deg)) * _det(rows)
+    return _det(rows).times_one_minus_u2_pow(sum(deg) // 2 - len(deg))
 
 
 def _det(rows):

@@ -4,13 +4,25 @@ Every zeta reciprocal in this package is an IntPoly. Coefficients are plain
 Python ints (any other type is refused, not converted), index = power of u,
 so all arithmetic is exact by construction. A polynomial is written
 densely, IntPoly((c_0, c_1, ...)), or sparsely, IntPoly.from_terms of
-(power, coeff) pairs. Every power, there and in ** and one_minus_u2_pow,
-is an int >= 0. Arithmetic and equality take IntPoly operands only: an
-int constant c is written IntPoly((c,)). The class is immutable and
-hashable, so polynomials can be set members and dict keys.
+(power, coeff) pairs. Every power, there and in ** and
+times_one_minus_u2_pow, is an int >= 0. Arithmetic and equality take
+IntPoly operands only: an int constant c is written IntPoly((c,)). The
+class is immutable and hashable, so polynomials can be set members and
+dict keys.
+
+Products are schoolbook, with no product by a zero coefficient of either
+operand, except the factor (1 - u^2)^k that turns a Bass determinant (or a
+closed form's small factor) into a zeta reciprocal: k = r - 1 reaches the
+thousands on dense graphs, and times_one_minus_u2_pow multiplies by it
+through the binomials' term ratios, with one big product per row instead
+of one per coefficient of the other factor.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from math import prod
+from operator import mul, sub
 
 
 class IntPoly:
@@ -30,16 +42,6 @@ class IntPoly:
         raise AttributeError("IntPoly is immutable")
 
     # --- constructors ---
-
-    @staticmethod
-    def one_minus_u2_pow(k: int) -> "IntPoly":
-        """(1 - u^2)^k from its binomial coefficients, with no products."""
-        _check_power(k)
-        cs, binom = [], 1
-        for i in range(k + 1):
-            cs += (-binom if i & 1 else binom, 0)
-            binom = binom * (k - i) // (i + 1)
-        return IntPoly(cs)
 
     @staticmethod
     def from_terms(terms) -> "IntPoly":
@@ -114,10 +116,11 @@ class IntPoly:
         if not a or not b:
             return IntPoly()
         cs = [0] * (len(a) + len(b) - 1)
+        terms = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
-            for j, bj in enumerate(b):
+            for j, bj in terms:
                 cs[i + j] += ai * bj
         return IntPoly(cs)
 
@@ -131,6 +134,66 @@ class IntPoly:
             if bit == "1":
                 result = result * self
         return result
+
+    def times_one_minus_u2_pow(self, k: int) -> "IntPoly":
+        """self * (1 - u^2)^k, through the term ratios of the binomials.
+
+        With v = u^2, split self into its even and odd parts F(v). For a
+        part F = f_0 + f_1 v + ... + f_d v^d, coefficient j of (1 - v)^k F is
+        sum_t (-1)^(j-t) C(k, j-t) f_t = (-1)^j C(k+d, j) N(j) / M for
+        0 <= j <= k + d, where M = (k+1)(k+2)...(k+d) and
+        N(j) = sum_t (-1)^t f_t j(j-1)...(j-t+1) (k-j+t+1)...(k-j+d),
+        an integer polynomial in j of degree <= d: the ratio
+        C(k, j-t) M / C(k+d, j) is j!/(j-t)! (k+d-j)!/(k-j+t)!
+        (hypergeometric term ratios: Petkovsek, Wilf and Zeilberger,
+        A = B, 1996).
+
+        The rows (powers of u) below len(self) are direct sums over the
+        nonzero (even) coefficients of (1 - u^2)^k. If 2k <= len(self),
+        so is every later row: the plain convolution. Otherwise the direct
+        rows give N(0..d) of each part, and each later row j of a part
+        advances the d + 1 backward differences of N by one C-level
+        accumulate (tabulation by differences: Knuth, TAOCP vol. 2,
+        4.6.4), updates C(k+d, j) by one exact ratio, and costs one big
+        product and one exact division by M, where the convolution costs
+        d + 1 big products.
+        """
+        _check_power(k)
+        h = self.coeffs
+        n = len(h)
+        low = [1]  # (-1)^m C(k, m), as far as the direct rows reach
+        for m in range(1, min(k, (n - 1) // 2) + 1):
+            low.append(-low[-1] * (k - m + 1) // m)
+        cs = [sum(map(mul, h[i::-2], low)) for i in range(n)]
+        if 2 * k <= n:
+            # the binomials are symmetric: (-1)^m C(k, m) = (-1)^k C(k, k-m)
+            sign = -1 if k & 1 else 1
+            cs += [sign * sum(map(mul, h[i - 2 * k::2], low))
+                   for i in range(n, n + 2 * k)]
+            return IntPoly(cs)
+        cs += [0] * (2 * k)
+        for p in (0, 1):
+            f = h[p::2]
+            if not any(f):
+                continue
+            d = len(f) - 1
+            big_m = prod(range(k + 1, k + d + 1))
+            binom, values = 1, []  # binom is (-1)^j C(k+d, j)
+            for j in range(d + 1):
+                values.append(cs[p + 2 * j] * big_m // binom)
+                binom = -binom * (k + d - j) // (j + 1)
+            diffs = []  # N's backward differences at d, highest first
+            while values:
+                diffs.append(values[-1])
+                values = list(map(sub, values[1:], values))
+            diffs.reverse()
+            rows = []
+            for j in range(d + 1, k + d + 1):
+                diffs = list(accumulate(diffs))
+                rows.append(binom * diffs[-1] // big_m)
+                binom = -binom * (k + d - j) // (j + 1)
+            cs[p + 2 * d + 2::2] = rows
+        return IntPoly(cs)
 
     # --- evaluation ---
 

@@ -137,7 +137,7 @@ def zeta_bass(g: Multigraph) -> IntPoly:
         x_row[2 * v + 1] = 2 * g.loops[v]
         x_row[2 * v] = 1 - degrees[v]
         b += (y_row, x_row)
-    poly = IntPoly.one_minus_u2_pow(g.rank - 1) * reversed_charpoly(b)
+    poly = reversed_charpoly(b).times_one_minus_u2_pow(g.rank - 1)
     return _checked(poly, "bass", g)
 
 

@@ -440,6 +440,23 @@ def test_zeta_graph_is_validated_once_per_engine_run(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("text", [TRIANGLE, "n 2\n0 1\n0 1\n0 1\n0 0\n"],
+                         ids=["rank-1", "rank-3"])
+def test_trees_graph_is_validated_once(tmp_path, monkeypatch, text):
+    # at rank >= 2 zeta_bass checks the hypotheses; below it the command
+    calls = []
+    real = multigraph.validate_zeta_input
+
+    def counting(g):
+        calls.append(g)
+        real(g)
+
+    for module in (multigraph, zeta, cli):
+        monkeypatch.setattr(module, "validate_zeta_input", counting)
+    assert run(["trees", "--graph", write_graph(tmp_path, text)]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["zeta", "trees"])
 @pytest.mark.parametrize("text, message", [
     ("n 4\n0 1\n0 1\n2 3\n2 3\n", "graph is not connected"),

@@ -283,7 +283,7 @@ def test_one_vertex_determinant_is_the_bouquets_spectral_product():
 def test_complete_form_is_the_papers_product_beyond_the_grids():
     # (1 - u^2)^(n(n-3)/2) (1 + u + (n-2)u^2)^(n-1) (1 - (n-1)u + (n-2)u^2)
     for n in range(3, 31):
-        printed = (IntPoly.one_minus_u2_pow(n * (n - 3) // 2)
+        printed = (IntPoly((1, 0, -1)) ** (n * (n - 3) // 2)
                    * IntPoly((1, 1, n - 2)) ** (n - 1)
                    * IntPoly((1, -(n - 1), n - 2)))
         assert closed_form(family_spec("Complete", n)) == printed, n
@@ -294,7 +294,7 @@ def test_cocktail_party_form_is_the_quartic_product_beyond_the_grids():
     # (1 + 2u + (4h-6)u^2 + (4h-6)u^3 + (2h-3)^2 u^4)^(h-1)
     for h in range(2, 16):
         quartic = IntPoly((1, 2, 4 * h - 6, 4 * h - 6, (2 * h - 3) ** 2))
-        written = (IntPoly.one_minus_u2_pow(2 * h * h - 4 * h)
+        written = (IntPoly((1, 0, -1)) ** (2 * h * h - 4 * h)
                    * quartic ** (h - 1)
                    * IntPoly((1, 0, 2 * h - 3))
                    * IntPoly((1, 2 - 2 * h, 2 * h - 3)))

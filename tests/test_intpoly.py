@@ -73,6 +73,18 @@ def test_ring_identities_random():
         assert f * IntPoly((1,)) == f
 
 
+def test_products_of_sparse_operands():
+    # __mul__ skips the zero coefficients of both operands
+    rng = random.Random(7)
+    for _ in range(200):
+        f, g = (IntPoly([rng.choice((0, 0, 0, rng.randint(-9, 9)))
+                         for _ in range(rng.randint(0, 12))])
+                for _ in range(2))
+        assert f * g == IntPoly.from_terms(
+            (i + j, a * b) for i, a in enumerate(f.coeffs)
+            for j, b in enumerate(g.coeffs))
+
+
 def test_pow():
     f = IntPoly((1, 1))
     assert f ** 0 == IntPoly((1,))
@@ -96,15 +108,32 @@ def test_exponents_that_are_not_ints_are_refused(bad):
     with pytest.raises(TypeError, match="powers must be ints"):
         IntPoly((1, 1)) ** bad
     with pytest.raises(TypeError, match="powers must be ints"):
-        IntPoly.one_minus_u2_pow(bad)
+        IntPoly((1, 1)).times_one_minus_u2_pow(bad)
 
 
 def test_one_minus_u2_pow_matches_repeated_products():
     base = IntPoly((1, 0, -1))
     for k in range(13):
-        assert IntPoly.one_minus_u2_pow(k) == base ** k
+        assert IntPoly((1,)).times_one_minus_u2_pow(k) == base ** k
     with pytest.raises(ValueError):
-        IntPoly.one_minus_u2_pow(-1)
+        IntPoly((1,)).times_one_minus_u2_pow(-1)
+
+
+@pytest.mark.parametrize("k, degree", [(740, 80), (3080, 160)],
+                         ids=["K40-shape", "K80-shape"])
+def test_times_one_minus_u2_pow_at_the_dense_shapes(k, degree):
+    # Bass's shapes on K(40) and K(80): k = r - 1 far above deg h, so
+    # nearly every row comes from the differences. The reference row is
+    # built by the binomial recurrence: (1 - u^2)^3080 by ** takes seconds
+    rng = random.Random(k)
+    h = IntPoly([rng.randrange(-2 ** 210, 2 ** 210) for _ in range(degree + 1)])
+    row, binom = [], 1
+    for m in range(k + 1):
+        row += (-binom if m & 1 else binom, 0)
+        binom = binom * (k - m) // (m + 1)
+    assert h.times_one_minus_u2_pow(k) == IntPoly(row) * h
+    if k == 740:
+        assert IntPoly(row) == IntPoly((1, 0, -1)) ** k
 
 
 def test_bool_is_not_an_int_operand():

@@ -1,4 +1,5 @@
-"""Property-based engine agreement beyond the frozen 7-edge sweep.
+"""Property-based checks: engine agreement beyond the frozen 7-edge sweep,
+the graph constructor, and the (1 - u^2)^k product.
 
 Seeded random connected multigraphs of minimum degree 2 with 8 to 25
 edges: a random spanning tree, one extra edge at every vertex of degree
@@ -9,7 +10,9 @@ drawn edge count.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from iharazeta.intpoly import IntPoly  # noqa: E402
 
 from iharazeta.multigraph import Multigraph, kirchhoff_tree_count  # noqa: E402
 from iharazeta.trees import tree_count_from_zeta  # noqa: E402
@@ -80,3 +83,28 @@ def test_constructor_connectivity_and_edge_order(case):
     h = Multigraph(shuffled, n)
     assert h == g and hash(h) == hash(g)
     assert (h.connected, h.degrees()) == (g.connected, g.degrees())
+
+
+@st.composite
+def polys_and_powers(draw):
+    """h with zero low ends and even-only or odd-only cases, so that either
+    part of h in u^2 can be zero or start or end with zeros, and a power
+    k from 0 to well above 4 deg h."""
+    low = draw(st.integers(0, 5))
+    body = draw(st.lists(st.integers(-10 ** 40, 10 ** 40), max_size=24))
+    cs = [0] * low + body
+    parity = draw(st.sampled_from(["both", "even", "odd"]))
+    if parity != "both":
+        cs[parity == "even"::2] = [0] * len(cs[parity == "even"::2])
+    h = IntPoly(cs)
+    return h, draw(st.integers(0, 4 * max(h.degree, 1) + 8))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(polys_and_powers())
+@example((IntPoly(), 5))
+@example((IntPoly((-3,)), 7))
+@example((IntPoly((0, 0, 0, 2)), 4))
+def test_times_one_minus_u2_pow_is_the_product(case):
+    h, k = case
+    assert h.times_one_minus_u2_pow(k) == IntPoly((1, 0, -1)) ** k * h

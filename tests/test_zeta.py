@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from iharazeta.errors import (
@@ -189,7 +191,7 @@ def test_engines_hand_the_kernel_permutation_similar_matrices():
                      ("CompleteBipartite", 3, 3))
     ]
     for g in graphs:
-        assert zeta_bass(g) == IntPoly.one_minus_u2_pow(g.rank - 1) * (
+        assert zeta_bass(g) == IntPoly((1, 0, -1)) ** (g.rank - 1) * (
             reversed_charpoly(block_linearisation(g))
         )
         out = arcs(*oriented_line_graph(g))
@@ -437,6 +439,23 @@ def test_enum_on_dense_line_graphs(spec):
     # the default cap allows, Complete(9) needs the cap raised to 72
     g = gen_family(spec)
     assert zeta_enum(g, cap=2 * g.edge_count) == closed_form(spec)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_engines_agree_on_dense_seeded_multigraphs(seed):
+    # 5 vertices and 32 edges (a Hamiltonian cycle in random order plus
+    # random pairs, loops allowed): k = r - 1 = 27 against deg h = 10, so
+    # Bass takes nearly every row of its (1 - u^2)^k product from the
+    # differences, and linedet and enum share none of that code. 64
+    # directed edges are exactly enum's default cap
+    rng = random.Random(seed)
+    order = rng.sample(range(5), 5)
+    edges = [(order[i], order[i - 1]) for i in range(5)]
+    edges += [(rng.randrange(5), rng.randrange(5)) for _ in range(27)]
+    g = Multigraph(edges, 5)
+    poly = zeta_bass(g)
+    assert zeta_line_det(g) == poly
+    assert zeta_enum(g) == poly
 
 
 @pytest.mark.parametrize(
