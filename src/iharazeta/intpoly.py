@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import prod
-from operator import mul, sub
+from operator import sub
 
 
 class IntPoly:
@@ -161,17 +161,16 @@ class IntPoly:
         _check_power(k)
         h = self.coeffs
         n = len(h)
-        low = [1]  # (-1)^m C(k, m), as far as the direct rows reach
-        for m in range(1, min(k, (n - 1) // 2) + 1):
-            low.append(-low[-1] * (k - m + 1) // m)
-        cs = [sum(map(mul, h[i::-2], low)) for i in range(n)]
-        if 2 * k <= n:
-            # the binomials are symmetric: (-1)^m C(k, m) = (-1)^k C(k, k-m)
-            sign = -1 if k & 1 else 1
-            cs += [sign * sum(map(mul, h[i - 2 * k::2], low))
-                   for i in range(n, n + 2 * k)]
+        plain = 2 * k <= n
+        direct = n + 2 * k if plain else n  # the rows made by direct sums
+        cs = [0] * (n + 2 * k)
+        binom = 1  # (-1)^m C(k, m)
+        for m in range(min(k, (direct - 1) // 2) + 1):
+            for i, hi in enumerate(h[:direct - 2 * m], 2 * m):
+                cs[i] += binom * hi
+            binom = -binom * (k - m) // (m + 1)
+        if plain:
             return IntPoly(cs)
-        cs += [0] * (2 * k)
         for p in (0, 1):
             f = h[p::2]
             if not any(f):
