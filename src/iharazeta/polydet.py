@@ -8,7 +8,7 @@ test that decides something reads a residue)."""
 from __future__ import annotations
 
 from functools import cache
-from math import prod
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .intpoly import IntPoly
@@ -87,11 +87,13 @@ def reversed_charpoly(matrix) -> IntPoly:
     list reversed, computed in one pass modulo a single prime P > 2B,
     B^2 = prod_i sum_j (|m_ij| + [i = j])^2, as residues of least absolute
     value. P is the least Proth prime above 2^b, where 2^(2b) > 4B^2 is
-    checked in integers, so no square root is taken. The pass delays its
-    reduction in the row step (see _charpoly_mod): stored entries stay
-    below (n + 1) P^2, the multipliers, the pivot row's support, the
-    column-step sums and the recurrence's reads are reduced, and the
-    residues returned are those of a reduction after every update.
+    checked in integers, so no square root is taken; the search tries
+    each candidate by trial division (one gcd with the odd primes below
+    2000) before Proth's test. The pass delays its reduction in the row
+    step (see _charpoly_mod): stored entries stay below (n + 1) P^2, the
+    multipliers, the pivot row's support, the column-step sums and the
+    recurrence's reads are reduced, and the residues returned are those
+    of a reduction after every update.
 
     B bounds every |c_k| of f(u) = det(I - uM) = sum_k c_k u^k. Proof:
     Cauchy's estimate on the unit circle gives |c_k| <= max_{|u|=1} |f(u)|.
@@ -188,16 +190,26 @@ def _charpoly_mod(m, p: int):
     return chars[n]
 
 
+# the odd primes below 2000 multiplied together, for trial division by gcd
+_ODD_PRIMORIAL = prod(q for q in range(3, 2000, 2)
+                      if all(q % d for d in range(3, isqrt(q) + 1, 2)))
+
+
 @cache
 def _proth_prime(bits: int) -> int:
     """The least Proth prime above 2^bits (bits >= 2) that Proth's theorem
     proves, found on first use. The Proth numbers k 2^m + 1 (k odd,
     k < 2^m) in (2^bits, 2^(bits+1)] are the j 2^h + 1 below, h > bits/2.
+    Trial division first: a candidate above 2000 with an odd prime factor
+    below 2000 (one gcd with their product) is composite and skips the
+    Proth test's powers.
     """
     h = bits // 2 + 1
     for j in range(1 << (bits - h), 1 << (bits + 1 - h)):
-        if _proth_proves_prime((j << h) + 1):
-            return (j << h) + 1
+        n = (j << h) + 1
+        if ((n < 2000 or gcd(n, _ODD_PRIMORIAL) == 1)
+                and _proth_proves_prime(n)):
+            return n
     return _proth_prime(bits + 1)
 
 

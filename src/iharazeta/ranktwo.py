@@ -2,11 +2,13 @@
 
 A connected multigraph of minimum degree two whose cycle rank is two is
 one of exactly three shapes: two cycles sharing a single vertex, two
-cycles sharing a path, or two cycles joined by a path. Each shape is a
-family tag (DoubleCycle, SharedPath, Handcuff), so enumeration is a walk
-over parameter tuples, with a brute-force audit at small sizes to
-certify nothing was missed. A spec is canonical when m <= n, and for
-SharedPath when its three internal paths run p <= m - p <= n - p.
+cycles sharing a path, or two cycles joined by a path: the subdivisions
+of the figure-eight, theta and handcuff kernels. Each shape is a family
+tag (DoubleCycle, SharedPath, Handcuff), so the catalogue is the length
+assignments on those three kernels (smallgraphs.length_assignments, the
+generator of the exhaustive sweep), with a brute-force audit at small
+sizes to certify nothing was missed. A spec is canonical when m <= n,
+and for SharedPath when its three internal paths run p <= m - p <= n - p.
 
 decode_rank2 inverts the three closed forms: it reads the canonical spec
 back off a reciprocal zeta polynomial, so the zeta function determines a
@@ -25,6 +27,7 @@ from __future__ import annotations
 from .errors import ParameterError, VerificationError
 from .families import FamilySpec, gen_family
 from .intpoly import IntPoly
+from .smallgraphs import length_assignments
 from .zeta import zeta_line_det
 
 RANK_TWO_TAGS = ("DoubleCycle", "SharedPath", "Handcuff")
@@ -37,19 +40,16 @@ def enumerate_rank2(max_edges: int) -> list[FamilySpec]:
     """
     if max_edges < 2:
         raise ParameterError("rank-two graphs need at least 2 edges")
-    keyed = []  # (edge count, shape, params)
-    for m in range(1, max_edges + 1):
-        for n in range(m, max_edges - m + 1):
-            keyed.append((m + n, 0, (m, n)))
-    # SharedPath by internal path lengths p <= s2 <= s3, |E| = p+s2+s3
-    for p in range(1, max_edges + 1):
-        for s2 in range(p, max_edges + 1):
-            for s3 in range(s2, max_edges - p - s2 + 1):
-                keyed.append((p + s2 + s3, 1, (p + s2, p + s3, p)))
-    for l in range(1, max_edges + 1):
-        for m in range(1, max_edges + 1):
-            for n in range(m, max_edges - l - m + 1):
-                keyed.append((m + n + l, 2, (m, n, l)))
+    # (edge count, shape, params) over the figure-eight, theta and
+    # handcuff kernels; the handcuff's slots run (m, l, n), and m <= n is
+    # its loop swap, which no within-slot order sees
+    keyed = [(m + n, 0, (m, n))
+             for (m, n), in length_assignments([2], max_edges)]
+    keyed += [(p + s + t, 1, (p + s, p + t, p))
+              for (p, s, t), in length_assignments([3], max_edges)]
+    keyed += [(m + l + n, 2, (m, n, l))
+              for (m,), (l,), (n,) in length_assignments([1, 1, 1], max_edges)
+              if m <= n]
     keyed.sort()
     return [FamilySpec(RANK_TWO_TAGS[shape], params)
             for _, shape, params in keyed]

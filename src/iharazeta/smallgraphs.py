@@ -8,11 +8,13 @@ its subdivisions are the cycles; at rank r >= 2 it is connected, with
 minimum degree >= 3, at most 2(r - 1) vertices and 3(r - 1) edges. So the
 generator takes the single loop and one table per kernel class of higher
 rank, gives each loop set and each parallel class a multiset of path
-lengths in every way the edge budget allows, and keeps the first graph met
-per canonical key: a kernel automorphism can carry one assignment onto
-another, and the key is what finds those repeats. The kernels of rank
->= 2 are few and small, so brute force over their multiplicity tables
-finds them; the sweep is practical to 9 edges (6,114 classes).
+lengths in every way the edge budget allows (length_assignments, which
+ranktwo shares to enumerate the rank-two catalogue on its three kernels),
+and keeps the first graph met per canonical key: a kernel automorphism can
+carry one assignment onto another, and the key is what finds those
+repeats. The kernels of rank >= 2 are few and small, so brute force over
+their multiplicity tables finds them; the sweep is practical to 9 edges
+(6,114 classes).
 
 Isomorphism reduction, of the kernels and of their subdivisions alike,
 and the order of the output use one canonical key per class, found by
@@ -182,9 +184,9 @@ def _table_classes(max_edges, min_degree):
                     for g in _labeled_tables(n, max_edges, min_degree))
 
 
-def _length_assignments(counts, budget):
+def length_assignments(counts, budget):
     """One non-decreasing tuple of counts[i] lengths >= 1 per slot i, all
-    lengths summing to at most budget."""
+    lengths summing to at most budget, in lexicographic order."""
     if not counts:
         yield ()
         return
@@ -192,7 +194,7 @@ def _length_assignments(counts, budget):
     for first in combinations_with_replacement(
             range(1, budget - reserve + 1), counts[0]):
         if sum(first) + reserve <= budget:
-            for rest in _length_assignments(counts[1:], budget - sum(first)):
+            for rest in length_assignments(counts[1:], budget - sum(first)):
                 yield (first,) + rest
 
 
@@ -209,7 +211,7 @@ def _subdivisions(max_edges):
                 if count:
                     slots.append((v, w))
                     counts.append(count)
-        for lengths in _length_assignments(counts, max_edges):
+        for lengths in length_assignments(counts, max_edges):
             yield subdivide(n, slots, lengths)
 
 

@@ -404,6 +404,16 @@ def is_proth(n):
     return (n - 1) >> m < 1 << m
 
 
+def unsieved_proth_prime(bits):
+    """The prime search without trial division: Proth's test on every
+    candidate, in the same order."""
+    h = bits // 2 + 1
+    for j in range(1 << (bits - h), 1 << (bits + 1 - h)):
+        if polydet._proth_proves_prime((j << h) + 1):
+            return (j << h) + 1
+    return unsieved_proth_prime(bits + 1)
+
+
 def test_prime_search():
     limit = 2 ** 17 + 2
     sieve = [True] * limit
@@ -417,6 +427,11 @@ def test_prime_search():
         assert not any(is_proth(n) and sieve[n]
                        for n in range(2 ** bits + 1, p))
     assert polydet._proth_prime(16) == 2 ** 16 + 1  # the Fermat prime F_4
+    # trial division skips no prime: 257 at 8 bits is itself a small
+    # prime, and the sizes above 300 bits are those of K(80) and M(200)
+    assert polydet._proth_prime(8) == 257
+    for bits in [*range(2, 301), 402, 545]:
+        assert polydet._proth_prime(bits) == unsieved_proth_prime(bits)
     # composite Proth numbers, 2^32 + 1 = 641 * 6700417 among them
     for n, factor in ((57, 3), (209, 11), (2 ** 32 + 1, 641),
                       (2 ** 64 + 1, 274177)):

@@ -134,6 +134,34 @@ def test_enumerate_smallest_budgets():
     ]
 
 
+def loop_nest_rank2(max_edges):
+    """The canonical specs by one loop nest per shape, each with its own
+    bounds, sorted as enumerate_rank2 sorts: the independent oracle for
+    its length assignments on the three kernels."""
+    keyed = []  # (edge count, shape, params)
+    for m in range(1, max_edges + 1):
+        for n in range(m, max_edges - m + 1):
+            keyed.append((m + n, 0, (m, n)))
+    # SharedPath by internal path lengths p <= s2 <= s3, |E| = p+s2+s3
+    for p in range(1, max_edges + 1):
+        for s2 in range(p, max_edges + 1):
+            for s3 in range(s2, max_edges - p - s2 + 1):
+                keyed.append((p + s2 + s3, 1, (p + s2, p + s3, p)))
+    for l in range(1, max_edges + 1):
+        for m in range(1, max_edges + 1):
+            for n in range(m, max_edges - l - m + 1):
+                keyed.append((m + n + l, 2, (m, n, l)))
+    keyed.sort()
+    return [FamilySpec(RANK_TWO_TAGS[shape], params)
+            for _, shape, params in keyed]
+
+
+def test_enumeration_matches_the_loop_nests():
+    # spec for spec and in order, well past the sweep's 7 edges
+    for max_edges in range(2, 41):
+        assert enumerate_rank2(max_edges) == loop_nest_rank2(max_edges)
+
+
 def test_enumerated_specs_are_canonical_and_in_budget():
     specs = enumerate_rank2(8)
     assert len(specs) == len(set(specs))

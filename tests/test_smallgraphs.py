@@ -6,7 +6,7 @@ import gc
 import hashlib
 import random
 from collections import Counter, defaultdict
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +16,7 @@ from iharazeta.smallgraphs import (
     _table_classes,
     canonical_key,
     connected_multigraphs,
+    length_assignments,
 )
 
 
@@ -46,6 +47,28 @@ def test_kernel_generator_matches_the_table_recursion():
         oracle = [canonical_key(g) for g in _table_classes(max_edges, 2)]
         assert [canonical_key(g)
                 for g in connected_multigraphs(max_edges)] == oracle
+
+
+def test_length_assignments_match_brute_force():
+    # one non-decreasing tuple per slot, every length >= 1, the total
+    # within budget, in the lexicographic order of product's output,
+    # which the frozen sweep representatives rely on
+    for counts, budget in [([1], 4), ([2], 7), ([3], 8), ([1, 1, 1], 6),
+                           ([2, 1], 7), ([1, 2, 1], 8), ([3, 2], 9)]:
+        flat = [
+            lengths for lengths in product(range(1, budget + 1),
+                                           repeat=sum(counts))
+            if sum(lengths) <= budget
+        ]
+        want = []
+        for lengths in flat:
+            slots, start = [], 0
+            for count in counts:
+                slots.append(lengths[start:start + count])
+                start += count
+            if all(list(slot) == sorted(slot) for slot in slots):
+                want.append(tuple(slots))
+        assert list(length_assignments(counts, budget)) == want
 
 
 def test_class_counts_from_sweep(sweep7):
