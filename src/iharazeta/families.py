@@ -9,10 +9,11 @@ formula-level test surface.
 
 The closed forms are built five ways: Ihara's spectral product for the
 regular families (Kl, with K and BQ as its cases, O and B), the vertex
-determinant for D and T, Kb's 2 x 2 quotient, M's Dickson product, and
-the kernel polynomials Z_K of the one-loop, handcuff and theta kernels
-in the path monomials u^l for C, G = H(m, n, 0), H and Gp. Only the
-fixed small graphs keep term lists.
+determinant for every fixed-size family (D on 2 vertices, T on 3 and
+the named small graphs on at most 5), Kb's 2 x 2 quotient, M's Dickson
+product, and the kernel polynomials Z_K of the one-loop, handcuff and
+theta kernels in the path monomials u^l for C, G = H(m, n, 0), H and
+Gp. No family keeps a term list.
 """
 
 from __future__ import annotations
@@ -250,7 +251,8 @@ def _vertex_form(loops, mult):
     loops[v] counts v's loops, each adding 2 to A[v][v] and to v's degree;
     mult is the symmetric table of the other edges, zero on its diagonal
     (Bass, Int. J. Math. 3, 1992; Kotani and Sunada, J. Math. Sci. Univ.
-    Tokyo 7, 2000).
+    Tokyo 7, 2000). The closed form of D, T and the named small graphs;
+    _det costs |V|!, so it serves only graphs on at most 5 vertices.
     """
     deg = [2 * ell + sum(row) for ell, row in zip(loops, mult)]
     rows = [[IntPoly((1, -2 * loops[v], deg[v] - 1) if v == w else (0, -m))
@@ -259,7 +261,11 @@ def _vertex_form(loops, mult):
 
 
 def _det(rows):
-    """Cofactor expansion along the first row, in IntPoly arithmetic."""
+    """Cofactor expansion along the first row, in IntPoly arithmetic.
+
+    Used by _vertex_form for D, T and the named small graphs; it costs
+    |V|! products, so it is used only on at most 5 vertices.
+    """
     if len(rows) == 1:
         return rows[0][0]
     return sum(((-e if j & 1 else e)
@@ -293,35 +299,6 @@ def _kappa_mobius_ladder(n):
 
 # --- fixed small graphs (ids name the graph or its complement in K_5) ---
 
-NAMED_SMALL = {
-    # one vertex, two loops
-    "two-loops": (1, [(0, 0), (0, 0)], IntPoly.from_terms([
-        (4, -3), (3, 4), (2, 2), (1, -4), (0, 1)])),
-    # doubled edge with a loop at one end
-    "loop-bigon": (2, [(0, 0), (0, 1), (0, 1)], IntPoly.from_terms([
-        (6, -3), (5, 2), (4, 3), (2, -1), (1, -2), (0, 1)])),
-    # two doubled edges sharing a vertex
-    "two-bigons": (3, [(0, 1), (0, 1), (0, 2), (0, 2)], IntPoly.from_terms([
-        (8, -3), (6, 4), (4, 2), (2, -4), (0, 1)])),
-    # three parallel edges (the smallest theta graph)
-    "triple-edge": (2, [(0, 1), (0, 1), (0, 1)], IntPoly.from_terms([
-        (6, -4), (4, 9), (2, -6), (0, 1)])),
-    # complete graph on 4 vertices minus one edge
-    "k4-minus": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
-                 IntPoly.from_terms([
-        (10, -4), (8, 1), (7, 4), (6, 4), (4, -2), (3, -4), (0, 1)])),
-    # complete graph on 5 vertices minus one edge
-    "k5-minus": (5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
-                     (2, 3), (2, 4)],
-                 IntPoly.from_terms([
-        (18, 108), (16, -360), (15, -80), (14, 345), (13, 252), (12, 52),
-        (11, -222), (10, -234), (9, -32), (8, 69), (7, 108), (6, 37),
-        (5, -12), (4, -18), (3, -14), (0, 1)])),
-}
-
-# The order-5 entries are named by their complement in K_5; build the
-# edge lists in one place.
-
 def _k5_minus(complement_pairs):
     comp = set(frozenset(e) for e in complement_pairs)
     return [
@@ -331,41 +308,47 @@ def _k5_minus(complement_pairs):
         if frozenset((i, j)) not in comp
     ]
 
-NAMED_SMALL.update({
-    "order5-co-2k2": (5, _k5_minus([(0, 1), (2, 3)]), IntPoly.from_terms([
-        (16, -48), (14, 112), (13, 32), (12, -40), (11, -64), (10, -68),
-        (9, 8), (8, 41), (7, 40), (6, 12), (5, -8), (4, -10), (3, -8),
-        (0, 1)])),
+
+# id -> (vertex count, edge list); the closed form is the vertex
+# determinant of the graph built from the edge list
+NAMED_SMALL = {
+    # one vertex, two loops
+    "two-loops": (1, [(0, 0), (0, 0)]),
+    # doubled edge with a loop at one end
+    "loop-bigon": (2, [(0, 0), (0, 1), (0, 1)]),
+    # two doubled edges sharing a vertex
+    "two-bigons": (3, [(0, 1), (0, 1), (0, 2), (0, 2)]),
+    # three parallel edges (the smallest theta graph)
+    "triple-edge": (2, [(0, 1), (0, 1), (0, 1)]),
+    # complete graph on 4 vertices minus one edge
+    "k4-minus": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    # complete graph on 5 vertices minus one edge
+    "k5-minus": (5, _k5_minus([(3, 4)])),
+    # complement = two disjoint edges (size 8)
+    "order5-co-2k2": (5, _k5_minus([(0, 1), (2, 3)])),
     # complement = a path on three vertices (size 8)
-    "order5-co-p3": (5, _k5_minus([(0, 1), (1, 2)]), IntPoly.from_terms([
-        (16, -36), (14, 73), (13, 28), (12, -4), (11, -50), (10, -62),
-        (9, -8), (8, 17), (7, 44), (6, 21), (5, -4), (4, -10), (3, -10),
-        (0, 1)])),
+    "order5-co-p3": (5, _k5_minus([(0, 1), (1, 2)])),
     # complement = a triangle (size 7)
-    "order5-co-k3": (5, _k5_minus([(0, 1), (0, 2), (1, 2)]),
-                     IntPoly.from_terms([
-        (14, 9), (12, -4), (11, -6), (10, -18), (8, 9), (7, 12), (6, 9),
-        (4, -6), (3, -6), (0, 1)])),
+    "order5-co-k3": (5, _k5_minus([(0, 1), (0, 2), (1, 2)])),
     # complement = a path on four vertices (size 7)
-    "order5-co-p4": (5, _k5_minus([(0, 1), (1, 2), (2, 3)]),
-                     IntPoly.from_terms([
-        (14, 12), (12, -11), (11, -10), (10, -11), (9, 6), (8, 6), (7, 12),
-        (6, 7), (5, -2), (4, -4), (3, -6), (0, 1)])),
+    "order5-co-p4": (5, _k5_minus([(0, 1), (1, 2), (2, 3)])),
     # complement = a path on three vertices plus a disjoint edge (size 7)
-    "order5-co-p3k2": (5, _k5_minus([(0, 1), (1, 2), (3, 4)]),
-                       IntPoly.from_terms([
-        (14, 16), (12, -20), (11, -8), (10, -12), (9, 4), (8, 17), (7, 12),
-        (6, 4), (5, -4), (4, -6), (3, -4), (0, 1)])),
+    "order5-co-p3k2": (5, _k5_minus([(0, 1), (1, 2), (3, 4)])),
     # complement = a path on five vertices (size 6)
-    "order5-co-p5": (5, _k5_minus([(0, 1), (1, 2), (2, 3), (3, 4)]),
-                     IntPoly.from_terms([
-        (12, -4), (10, 1), (9, 2), (8, 3), (7, 2), (6, 1), (5, -2), (4, -2),
-        (3, -2), (0, 1)])),
+    "order5-co-p5": (5, _k5_minus([(0, 1), (1, 2), (2, 3), (3, 4)])),
     # complement = a 4-cycle plus an isolated vertex (size 6)
-    "order5-co-c4k1": (5, _k5_minus([(0, 1), (1, 2), (2, 3), (3, 0)]),
-                       IntPoly.from_terms([
-        (12, -3), (9, 4), (6, 2), (3, -4), (0, 1)])),
-})
+    "order5-co-c4k1": (5, _k5_minus([(0, 1), (1, 2), (2, 3), (3, 0)])),
+}
+
+
+def _named_small_graph(name):
+    n, edges = NAMED_SMALL[name]
+    return Multigraph(edges, n)
+
+
+def _named_small_form(name):
+    g = _named_small_graph(name)
+    return _vertex_form(g.loops, g.mult)
 
 
 # --- the registry: one entry per family ---
@@ -464,11 +447,10 @@ FAMILIES = {
             (a1, a2, a3), ((0, b12, b13), (b12, 0, b23), (b13, b23, 0)))),
     "NamedSmall": Family(
         None, 1,
-        ((lambda name: name in NAMED_SMALL, "unknown small-graph id {0!r}"),),
-        build=lambda name: Multigraph(
-            NAMED_SMALL[name][1], NAMED_SMALL[name][0]
-        ),
-        closed_form=lambda name: NAMED_SMALL[name][2]),
+        ((lambda name: type(name) is str and name in NAMED_SMALL,
+          "unknown small-graph id {0!r}"),),
+        build=_named_small_graph,
+        closed_form=_named_small_form),
 }
 
 # CLI shorthand; the long tag names are accepted everywhere too.

@@ -9,6 +9,7 @@ line per criterion.
 """
 
 from iharazeta.families import (
+    NAMED_SMALL,
     closed_form,
     family_spec,
     gen_family,
@@ -64,9 +65,9 @@ def _complement_of_k5(missing):
     return Multigraph(edges, 5)
 
 
-# (graph, descending term list); the term lists are frozen reference
-# data, restated here rather than imported from the family catalogue so
-# the two transcriptions check each other.
+# (graph, descending term list); the term lists are the paper's printed
+# values, frozen here. The family catalogue computes its small graphs'
+# forms from their edge lists, so these pin it too.
 REFERENCE_FIXTURES = [
     (
         "two loops on one vertex",
@@ -151,6 +152,20 @@ def test_criterion_2_reference_polynomials_exact():
         expected = IntPoly.from_terms(terms)
         assert zeta_bass(g) == expected, label
         assert zeta_line_det(g) == expected, label
+
+
+def test_criterion_2_printed_data_pins_the_named_small_catalogue():
+    # one to one: each catalogue id meets the one fixture of its graph,
+    # which catches a typo in the id's edge list
+    printed = {canonical_key(g): terms for _, g, terms in REFERENCE_FIXTURES}
+    assert len(printed) == len(REFERENCE_FIXTURES) == len(NAMED_SMALL)
+    matched = set()
+    for name in NAMED_SMALL:
+        spec = family_spec("NamedSmall", name)
+        key = canonical_key(gen_family(spec))
+        assert closed_form(spec) == IntPoly.from_terms(printed[key]), name
+        matched.add(key)
+    assert matched == set(printed)
 
 
 # --- criterion 3: closed forms equal engine output on the full grids ---

@@ -81,6 +81,8 @@ def test_domain_rejections():
         ("ThreeVertex", (1, 1, 1, 1, 0, 0)),
         ("ThreeVertex", (0, 0, 0, 2, 1, 0)),
         ("NamedSmall", ("no-such-id",)),
+        # an unhashable id must not reach the dict lookup (TypeError)
+        ("NamedSmall", (["x"],)),
     ]
     for tag, params in bad:
         with pytest.raises(ParameterError):
@@ -151,7 +153,8 @@ def test_named_small_entries_are_well_formed():
     for name in NAMED_SMALL:
         g = gen_family(family_spec("NamedSmall", name))
         assert g.n == NAMED_SMALL[name][0]
-        assert NAMED_SMALL[name][2].degree == 2 * g.edge_count
+        assert closed_form(family_spec("NamedSmall", name)).degree == (
+            2 * g.edge_count)
         validate_zeta_input(g)
 
 
@@ -317,12 +320,8 @@ def test_closed_form_coincidences():
     pairs = [
         ("K(3)", "C(3)"),
         ("G(1,1)", "BQ(2)"),
-        ("G(1,1)", "two-loops"),
         ("G(1,2)", "D(1,0,2)"),
-        ("G(1,2)", "loop-bigon"),
-        ("G(2,2)", "two-bigons"),
         ("G(2,2)", "T(0,0,0,2,2,0)"),
-        ("Gp(2,2,1)", "triple-edge"),
         ("Gp(2,2,1)", "D(0,0,3)"),
         ("H(1,1,1)", "D(1,1,1)"),
         ("Kl(2,2)", "D(2,2,1)"),
@@ -332,6 +331,27 @@ def test_closed_form_coincidences():
         assert closed_form(parse_family_spec(a)) == closed_form(
             parse_family_spec(b)
         ), (a, b)
+
+
+def test_small_ids_agree_with_the_other_routes():
+    # the ids on at most 4 vertices are specs of other families, so the
+    # vertex determinant must meet the spectral and kernel-polynomial forms
+    routes = {
+        "two-loops": ["BQ(2)"],
+        "loop-bigon": ["D(1,0,2)"],
+        "two-bigons": ["G(2,2)"],
+        "triple-edge": ["Gp(2,2,1)", "D(0,0,3)"],
+        "k4-minus": ["Gp(3,3,1)"],
+    }
+    assert set(routes) == {
+        name for name, (n, _) in NAMED_SMALL.items() if n <= 4}
+    for name, others in routes.items():
+        spec = family_spec("NamedSmall", name)
+        for text in others:
+            other = parse_family_spec(text)
+            assert canonical_key(gen_family(spec)) == canonical_key(
+                gen_family(other)), (name, text)
+            assert closed_form(spec) == closed_form(other), (name, text)
 
 
 def test_theta_with_equal_paths_is_complete_bipartite():
@@ -368,8 +388,9 @@ def test_even_closed_form_tracks_bipartiteness():
 # --- verifier failure paths ---
 
 def test_verify_family_names_first_mismatching_power(monkeypatch):
-    n, edges, poly = families.NAMED_SMALL["triple-edge"]
-    bad = poly + IntPoly.from_terms([(2, 1)])
-    monkeypatch.setitem(families.NAMED_SMALL, "triple-edge", (n, edges, bad))
+    vertex_form = families._vertex_form
+    monkeypatch.setattr(
+        families, "_vertex_form",
+        lambda loops, mult: vertex_form(loops, mult) + IntPoly((0, 0, 1)))
     with pytest.raises(VerificationError, match=r"u\^2"):
         verify_family(family_spec("NamedSmall", "triple-edge"))
