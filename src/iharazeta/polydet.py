@@ -3,11 +3,14 @@ output check at u = 2 and for Kirchhoff's tree count, and
 reversed_charpoly, the det(I - uM) kernel of both determinant engines (one
 pass modulo a Proth prime above twice a Euclidean Hadamard bound, whose row
 step delays its reduction: entries stay below (n + 1) p^2, and every zero
-test that decides something reads a residue)."""
+test that decides something reads a residue; one residue scan per pivot
+column finds the pivot and the rows to eliminate, and the recurrence that
+follows visits only the nonzero entries of the reduced matrix)."""
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import compress
 from math import gcd, isqrt, prod
 from operator import mul
 
@@ -91,9 +94,10 @@ def reversed_charpoly(matrix) -> IntPoly:
     each candidate by trial division (one gcd with the odd primes below
     2000) before Proth's test. The pass delays its reduction in the row
     step (see _charpoly_mod): stored entries stay below (n + 1) P^2, the
-    multipliers, the pivot row's support, the column-step sums and the
-    recurrence's reads are reduced, and the residues returned are those
-    of a reduction after every update.
+    multipliers, the pivot row's support and the column-step sums are
+    reduced, the recurrence reduces the diagonal, the subdiagonal and
+    each term it takes from above the diagonal, and the residues returned
+    are those of a reduction after every update.
 
     B bounds every |c_k| of f(u) = det(I - uM) = sum_k c_k u^k. Proof:
     Cauchy's estimate on the unit circle gives |c_k| <= max_{|u|=1} |f(u)|.
@@ -123,70 +127,103 @@ def _charpoly_mod(m, p: int):
 
     Hessenberg reduction by elementary similarity transforms, then the
     three-term recurrence on the leading principal minors of the
-    Hessenberg matrix (Cohen, Alg. 2.2.9). O(n^3) word operations.
+    Hessenberg matrix H (Cohen, Alg. 2.2.9). O(n^3) operations on
+    integers below (n + 1) p^2, which span several machine words once p
+    passes 62 bits.
 
-    The row step delays its reduction (Dumas, Giorgi and Pernet, ACM TOMS
-    35, 2008): a row below the pivot takes h_ij -= t x with no % p, and the
-    eliminated entry is set to 0. The multiplier t and the pivot row's
-    values x are reduced, so each update adds less than p^2 in absolute
-    value; a row takes at most one update per step, so every stored entry
-    stays below (n + 1) p^2. Every zero test that decides something reads a
-    residue: the pivot search, the pivot row's support and the multiplier.
-    The column step reduces each row's sum, and the recurrence reduces what
-    it reads of H (the diagonal, the subdiagonal products and the products
-    with the upper entries), so H itself is never reduced again.
+    Step k reads column k - 1 at and below row k once, as residues: the
+    first row with a nonzero residue is the pivot, swapped into row k,
+    and the others are exactly the rows with a nonzero multiplier, since p
+    is prime. A column with one such row has nothing to eliminate and
+    takes no column step. The row step delays its reduction (Dumas,
+    Giorgi and Pernet, ACM TOMS 35, 2008): a row below the pivot takes
+    h_ij -= t x with no % p, and the eliminated entry is set to 0. The
+    multiplier t and the pivot row's values x are reduced, so each update
+    adds less than p^2 in absolute value; a row takes at most one update
+    per step, so every stored entry stays below (n + 1) p^2. The column
+    step reduces each row's sum, so H itself is never reduced again.
+
+    The recurrence for column j keeps the block start b, the last row at
+    or above j whose subdiagonal residue h_{b, b-1} is 0 (b = 0 if none),
+    and sub[r - b], the residue of h_{r+1, r} .. h_{j, j-1} for b <= r < j:
+    the terms with r < b have a zero factor. A subdiagonal residue of 1
+    leaves the products as they are. Only the rows r whose stored h_rj is
+    nonzero are visited, and a stored entry may be an unreduced nonzero
+    multiple of p, so the residue of h_rj sub[r - b] decides whether the
+    term is taken. Every zero test that decides something reads a residue:
+    the pivot and the rows to eliminate, the pivot row's support, the
+    diagonal, the subdiagonal and each term of the recurrence.
     """
     n = len(m)
     h = [[x % p for x in row] for row in m]
     for k in range(1, n - 1):
         col = k - 1
-        piv = next((i for i in range(k, n) if h[i][col] % p), None)
-        if piv is None:
+        # the rows at or below k whose entry in col is nonzero modulo p:
+        # the first is the pivot, the others are eliminated
+        nz = [(i, x) for i in range(k, n) if (x := h[i][col] % p)]
+        if not nz:
             continue  # column already reduced below the subdiagonal
+        piv, x = nz[0]
         if piv != k:
             h[k], h[piv] = h[piv], h[k]
             for row in h:
                 row[k], row[piv] = row[piv], row[k]
+        if len(nz) == 1:
+            continue  # nothing below the pivot to eliminate
         hk = h[k]
-        inv = pow(hk[col], -1, p)
-        support = [(j, x) for j in range(k, n) if (x := hk[j] % p)]
+        inv = pow(x, -1, p)
+        support = [(j, y) for j in range(k, n) if (y := hk[j] % p)]
         mults = []
-        # rows: R_i -= t_i R_k for i > k, zeroing column col below k; a
-        # row whose entry is a nonzero multiple of p gets t = 0 and is left
-        for i in range(k + 1, n):
+        # rows: R_i -= t_i R_k for the rows i > piv of nz, zeroing column
+        # col below k; t_i is nonzero as p is prime. A row whose entry is a
+        # nonzero multiple of p is not in nz and is left
+        for i, y in nz[1:]:
             hi = h[i]
-            if hi[col] and (t := hi[col] * inv % p):
-                mults.append((i, t))
-                hi[col] = 0
-                for j, x in support:
-                    hi[j] -= t * x
+            t = y * inv % p
+            mults.append((i, t))
+            hi[col] = 0
+            for j, v in support:
+                hi[j] -= t * v
         # columns: C_k += t_i C_i, completing the similarity transform
-        if mults:
-            for row in h:
-                acc = row[k]
-                for i, t in mults:
-                    if row[i]:
-                        acc += t * row[i]
-                row[k] = acc % p
-    # chars[j] = det(xI - H_j) for the leading j x j block of H
+        for row in h:
+            acc = row[k]
+            for i, t in mults:
+                if row[i]:
+                    acc += t * row[i]
+            row[k] = acc % p
+    # chars[j] = det(xI - H_j) for the leading j x j block of H; b and
+    # sub are the block start and the subdiagonal products for column j
+    cols = list(zip(*h))
     chars = [[1]]
+    b, sub = 0, []
     for j in range(n):
+        col = cols[j]
+        if j:
+            s = cols[j - 1][j] % p
+            if not s:
+                b, sub = j, []
+            elif s == 1:
+                sub.append(1)
+            else:
+                sub = [x * s % p for x in sub]
+                sub.append(s)
         # (x - h_jj) chars[j]
         prev = chars[j]
-        d = h[j][j] % p
-        nxt = [a - d * c for a, c in zip([0] + prev, prev)] + [1]
-        # - sum_i h_{j-i, j} (prod of subdiagonal h_{t, t-1}, j-i < t <= j)
-        #   chars[j - i]
-        sub = 1
-        for i in range(1, j + 1):
-            sub = sub * h[j - i + 1][j - i] % p
-            if not sub:
-                break
-            t = h[j - i][j] * sub % p
-            if t:
-                lower = chars[j - i]
+        d = col[j] % p
+        if d:
+            nxt = [a - d * c for a, c in zip([0] + prev, prev)] + [1]
+        else:
+            nxt = [0] + prev
+        changed = d
+        # - sum_r h_rj sub[r - b] chars[r] over b <= r < j: compress
+        # proposes the r whose stored h_rj is nonzero, and the residue of
+        # the product decides, as h_rj may be a nonzero multiple of p
+        for r in compress(range(b, j), col[b:j]):
+            if t := col[r] * sub[r - b] % p:
+                lower = chars[r]
                 nxt[:len(lower)] = [a - t * c for a, c in zip(nxt, lower)]
-        chars.append([c % p for c in nxt])
+                changed = True
+        chars.append([c % p for c in nxt] if changed else nxt)
     return chars[n]
 
 

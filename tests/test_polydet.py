@@ -398,6 +398,73 @@ def test_kernel_pivot_search_reads_residues():
     assert polydet._charpoly_mod(m, 5) == charpoly_mod_oracle(m, 5)
 
 
+def upper_hessenberg(subdiagonal):
+    """An upper Hessenberg matrix with the given subdiagonal and every
+    entry on and above the diagonal in 1 .. 5. Every reduction step finds
+    its column already reduced, so the recurrence reads it as it is."""
+    n = len(subdiagonal) + 1
+    m = [[(i + 2 * j) % 5 + 1 if j >= i else 0 for j in range(n)]
+         for i in range(n)]
+    for i, s in enumerate(subdiagonal, 1):
+        m[i][i - 1] = s
+    return m
+
+
+def test_kernel_recurrence_resets_at_zero_subdiagonal():
+    # modulo 7, h_21 = 0 and h_54 = 0 make blocks of rows 0-1, 2-4 and
+    # 5-6, so the block start moves twice. The entries above the diagonal
+    # that cross a block (h_06, h_25 and more) are nonzero, and the
+    # recurrence must leave them out. (In the pivot-search test above the
+    # stored h_32 = -5 is a zero subdiagonal residue that is not 0.)
+    m = upper_hessenberg([2, 0, 1, 3, 0, 1])
+    assert polydet._charpoly_mod(m, 7) == charpoly_mod_oracle(m, 7)
+
+
+def test_kernel_recurrence_products_of_nonunit_subdiagonals():
+    # modulo 7, no subdiagonal residue is 1 or -1, so every row multiplies
+    # the running subdiagonal products; over 101 the entries 100 are -1
+    m = upper_hessenberg([2, 3, 4, 5, 2, 3])
+    assert polydet._charpoly_mod(m, 7) == charpoly_mod_oracle(m, 7)
+    m = upper_hessenberg([100, 3, 100, 100, 2, 50, 100])
+    assert polydet._charpoly_mod(m, 101) == charpoly_mod_oracle(m, 101)
+
+
+def test_kernel_recurrence_reads_residues_of_last_column():
+    # modulo 5, step 1 takes row 2 -= 2 row 1 and leaves h_23 = 1 - 2 * 3
+    # = -5. Column 3 is the last, which no column step reduces, and step
+    # 2's pivot row 2 takes no row step, so the stored h_23 stays -5 above
+    # the diagonal: the recurrence sees a nonzero entry whose term is 0
+    m = [
+        [0, 0, 0, 0],
+        [1, 0, 0, 3],
+        [2, 1, 0, 1],
+        [0, 0, 1, 0],
+    ]
+    assert polydet._charpoly_mod(m, 5) == charpoly_mod_oracle(m, 5)
+
+
+def test_kernel_sparse_and_near_permutation_against_interpolation():
+    # sizes 8 to 32, beyond the Hypothesis tests' 7: a permutation matrix,
+    # as T nearly is on rank-two graphs, with up to 3 entries set to 1, -1,
+    # 2 or p, and sparse matrices with entries 0, +-1 and 2. Their reduced
+    # H has long runs of subdiagonal products and many blocks
+    rng = random.Random(37)
+    for n in range(8, 33):
+        for p in (2, 3, 5, 7, 101):
+            if rng.random() < 0.5:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                m = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+                for _ in range(rng.randint(0, 3)):
+                    m[rng.randrange(n)][rng.randrange(n)] = rng.choice(
+                        (1, -1, 2, p))
+            else:
+                density = rng.choice((1.5, 3.0)) / n
+                m = [[rng.choice((1, -1, 2)) if rng.random() < density else 0
+                      for _ in range(n)] for _ in range(n)]
+            assert polydet._charpoly_mod(m, p) == charpoly_mod_oracle(m, p)
+
+
 def is_proth(n):
     """n = k 2^m + 1 with k odd and k < 2^m."""
     m = ((n - 1) & -(n - 1)).bit_length() - 1
