@@ -10,7 +10,10 @@ mode re-serializes byte-identically.
 
 Exit codes: 0 success, else the exit_code of the package error raised:
 1 disagreement or violated cross-check (VerificationError), 2 bad input
-(InputError), 3 size cap exceeded (SizeCapError).
+(InputError), 3 size cap exceeded (SizeCapError). The sizes --max-edges
+and --enum-cap are read as graph files and family specs are, by
+multigraph._decimal, so a size such as "1_0" or one in non-ASCII digits
+exits 2 from argparse before anything is generated.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .families import (
 )
 from .intpoly import IntPoly
 from .multigraph import (
+    _decimal,
     format_edge_list,
     kirchhoff_tree_count,
     parse_edge_list_text,
@@ -219,36 +223,28 @@ def _cmd_trees(args) -> int:
 
 def _cmd_rank2(args) -> int:
     # a bad decode or an inexact tree-count division raises: exit 1
-    checked = completeness_check(args.max_edges)
+    columns = ("spec", "edges", "leading_coeff", "girth_readout",
+               "tree_count", "poly_hash")
     rows = [
-        {
-            "spec": str(spec),
-            "edges": poly.degree // 2,
-            "leading_coeff": str(poly.leading_coeff),
-            "girth_readout": poly.first_nonzero_power(start=1),
-            "tree_count": str(tree_count_from_zeta(poly, 2)),
-            "poly_hash": _poly_hash(poly),
-        }
-        for spec, poly in checked
+        (str(spec), poly.degree // 2, str(poly.leading_coeff),
+         poly.first_nonzero_power(start=1),
+         str(tree_count_from_zeta(poly, 2)), _poly_hash(poly))
+        for spec, poly in completeness_check(args.max_edges)
     ]
     if args.format == "json":
         _emit_json({
             "max_edges": args.max_edges,
             "count": len(rows),
-            "rows": rows,
+            "rows": [dict(zip(columns, row)) for row in rows],
         })
     elif args.format == "csv":
-        columns = ("spec", "edges", "leading_coeff", "girth_readout",
-                   "tree_count", "poly_hash")
-        _emit_csv(columns, ([r[k] for k in columns] for r in rows))
+        _emit_csv(columns, rows)
     else:
         print(f"{len(rows)} canonical rank-two graphs with at most "
               f"{args.max_edges} edges; all zeta polynomials distinct")
-        header = f"{'spec':<14}{'|E|':>4}{'lead':>6}{'girth':>6}{'trees':>8}  hash"
-        print(header)
-        for r in rows:
-            print(f"{r['spec']:<14}{r['edges']:>4}{r['leading_coeff']:>6}"
-                  f"{r['girth_readout']:>6}{r['tree_count']:>8}  {r['poly_hash']}")
+        print(f"{'spec':<14}{'|E|':>4}{'lead':>6}{'girth':>6}{'trees':>8}  hash")
+        for row in rows:
+            print("{:<14}{:>4}{:>6}{:>6}{:>8}  {}".format(*row))
     return 0
 
 
@@ -290,11 +286,15 @@ def _cmd_verify(args) -> int:
 
 
 def _int_at_least(low):
-    """argparse type for an int >= low: bad sizes exit 2 before any work."""
+    """argparse type for an int >= low: bad sizes exit 2 before any work.
+
+    The text is read by multigraph._decimal, as graph files and family
+    specs are, so "1_0" and non-ASCII digits are refused too."""
     def parse(text):
-        if int(text) < low:
+        value = _decimal(text)
+        if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-        return int(text)
+        return value
     parse.__name__ = "int"  # argparse names the type in its error message
     return parse
 
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=_cmd_trees)
 
     r = sub.add_parser("rank2", help="rank-two distinctness table")
-    r.add_argument("--max-edges", type=int, required=True)
+    r.add_argument("--max-edges", type=_int_at_least(1), required=True)
     add_format(r)
     r.set_defaults(fn=_cmd_rank2)
 

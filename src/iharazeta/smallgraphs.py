@@ -22,7 +22,9 @@ individualization-refinement (McKay and Piperno, "Practical graph
 isomorphism, II", J. Symb. Comput. 2014): colour refinement from the
 (degree, loop count) partition, branching only on the cells refinement
 cannot split, and the least table encoding over the discrete colourings
-at the leaves of that search.
+at the leaves of that search. The key is (|E|, n, loops, upper
+triangle), so the order of the sorted keys is the class order: by edge
+count, then vertex count, then table.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ def _refine(colour, nbrs):
 
 
 def canonical_key(g: Multigraph) -> tuple:
-    """Least table encoding over the leaves of an individualization-
-    refinement search; equal keys exactly for isomorphic multigraphs.
+    """(|E|, n, loops, upper triangle): the edge count followed by the
+    least table encoding over the leaves of an individualization-
+    refinement search. Keys are equal exactly for isomorphic multigraphs,
+    and the order of the keys is the class order.
 
     The search starts from the (degree, loop count) colouring and refines
     it to an equitable partition. While some cell has more than one vertex,
@@ -67,8 +71,9 @@ def canonical_key(g: Multigraph) -> tuple:
     that vertex gets a colour of its own and the colouring is refined
     again. At a leaf every colour is a single vertex; listing the vertices
     by colour gives the table (n, loops, upper triangle of multiplicities),
-    and the key is the least table over all leaves. Every step depends only
-    on colours, so relabelled copies reach the same set of leaves.
+    and the key puts |E| in front of the least table over all leaves. Every
+    step depends only on colours, so relabelled copies reach the same set
+    of leaves.
 
     There is no automorphism pruning. Where refinement splits off nothing
     but the chosen vertices, every ordering of a cell is a leaf: K(n) costs
@@ -80,7 +85,8 @@ def canonical_key(g: Multigraph) -> tuple:
         [(g.mult[v][w], w) for w in range(n) if g.mult[v][w]]
         for v in range(n)
     ]
-    return _search(g, nbrs, _ranks(list(zip(g.degrees(), g.loops))))
+    return (g.edge_count,
+            *_search(g, nbrs, _ranks(list(zip(g.degrees(), g.loops)))))
 
 
 def _search(g, nbrs, colour):
@@ -157,22 +163,19 @@ def _labeled_tables(n, max_edges, min_degree):
     yield from fill_cell(0, 0, max_edges)
 
 
-def _class_order(key):
-    """(edge count, key): the order of every class list in this module."""
-    return (sum(key[1]) + sum(key[2]), key)
-
-
 def _classes(graphs):
-    """The first graph met per canonical key, in class order."""
+    """The first graph met per canonical key, in class order, which is
+    the order of the keys (|E|, n, loops, upper triangle)."""
     reps = {}
     for g in graphs:
         reps.setdefault(canonical_key(g), g)
-    return [reps[key] for key in sorted(reps, key=_class_order)]
+    return [reps[key] for key in sorted(reps)]
 
 
 def _table_classes(max_edges, min_degree):
     """One labelled table per class of connected multigraphs with minimum
-    degree >= min_degree and at most max_edges edges, in class order.
+    degree >= min_degree and at most max_edges edges, in class order: the
+    order of their keys (|E|, n, loops, upper triangle).
 
     Brute force: every labelled table the recursion yields gets a
     canonical key. Cheap at the kernels' minimum degree 3; at minimum
@@ -224,8 +227,9 @@ def connected_multigraphs(max_edges: int):
     single loop, whose subdivisions are the cycles.
     The first graph met per canonical key is kept; length assignments come
     in lexicographic order, so that is the least assignment of its class.
-    Order is deterministic: by edge count, then vertex count, then the
-    canonical table key. 8 edges (1,672 classes) take under a second, 9
-    edges (6,114) a few seconds.
+    Order is deterministic: the order of the canonical keys (|E|, n,
+    loops, upper triangle), by edge count, then vertex count, then table.
+    8 edges (1,672 classes) take under a second, 9 edges (6,114) a few
+    seconds.
     """
     return _classes(_subdivisions(max_edges))

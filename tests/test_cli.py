@@ -503,11 +503,26 @@ def test_bad_sweep_sizes_are_rejected_before_generation(
     def no_sweep(max_edges):
         raise AssertionError("sweep generated for a rejected size")
 
+    def no_catalogue(max_edges):
+        raise AssertionError("catalogue built for a rejected size")
+
     monkeypatch.setattr(cli, "connected_multigraphs", no_sweep)
+    monkeypatch.setattr(cli, "completeness_check", no_catalogue)
     path = write_graph(tmp_path, TRIANGLE)
     for argv, message in (
         (["verify", "--max-edges", "0"], "--max-edges: must be >= 1, got 0"),
         (["verify", "--max-edges", "-3"], "--max-edges: must be >= 1, got -3"),
+        # sizes are read as graph files and specs are: int() would take
+        # these as 10, 3, 64 and 12
+        (["verify", "--max-edges", "1_0"],
+         "--max-edges: invalid int value: '1_0'"),
+        (["verify", "--max-edges", "\u0663"],
+         "--max-edges: invalid int value: '\u0663'"),
+        (["zeta", "--graph", path, "--enum-cap", "6_4"],
+         "--enum-cap: invalid int value: '6_4'"),
+        (["rank2", "--max-edges", "1_2"],
+         "--max-edges: invalid int value: '1_2'"),
+        (["rank2", "--max-edges", "0"], "--max-edges: must be >= 1, got 0"),
         # the enum cap belongs to zeta; verify runs under the default
         (["verify", "--max-edges", "3", "--enum-cap", "-1"],
          "unrecognized arguments: --enum-cap"),

@@ -42,11 +42,15 @@ def test_class_counts_beyond_the_sweep():
 
 def test_kernel_generator_matches_the_table_recursion():
     # brute force over min-degree-2 tables is the independent oracle: the
-    # same classes, in the same (edge count, canonical key) order
+    # same classes, in the same order, that of the sorted keys, which
+    # start with the edge count
     for max_edges in range(1, 7):
-        oracle = [canonical_key(g) for g in _table_classes(max_edges, 2)]
+        reps = _table_classes(max_edges, 2)
+        oracle = [canonical_key(g) for g in reps]
         assert [canonical_key(g)
                 for g in connected_multigraphs(max_edges)] == oracle
+        assert oracle == sorted(oracle)
+        assert all(key[0] == g.edge_count for key, g in zip(oracle, reps))
 
 
 def test_length_assignments_match_brute_force():
