@@ -189,18 +189,17 @@ def _cmd_trees(args) -> int:
         g = gen_family(spec)
     else:
         g = _load_graph(args.graph)
-    # the standing hypotheses, before any count: Kirchhoff alone would
-    # count the trees of a graph with a degree-1 vertex. zeta_bass checks
-    # them first, so a graph of rank >= 2 is checked once
-    if g.rank >= 2:
-        poly = zeta_bass(g)
-    else:
-        validate_zeta_input(g)
     methods = []
     if spec is not None and FAMILIES[spec.tag].tree_count is not None:
         methods.append(("closed-form", tree_count_closed_form(spec)))
+    # the standing hypotheses, before Kirchhoff: it alone would count the
+    # trees of a graph with a degree-1 vertex. zeta_bass checks them
+    # first, so a graph of rank >= 2 is checked once
     if g.rank >= 2:
-        methods.append(("zeta-derivative", tree_count_from_zeta(poly, g.rank)))
+        methods.append(("zeta-derivative",
+                        tree_count_from_zeta(zeta_bass(g), g.rank)))
+    else:
+        validate_zeta_input(g)
     methods.append(("kirchhoff", kirchhoff_tree_count(g)))
     first, kappa = methods[0]
     differing = [name for name, v in methods if v != kappa]
@@ -314,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     z = sub.add_parser("zeta", help="zeta polynomial of a graph file")
     z.add_argument("--graph", required=True, metavar="FILE",
                    help="edge-list file ('n <count>' header, 'u v' lines)")
-    z.add_argument("--engine", choices=("bass", "linedet", "enum", "all"),
+    z.add_argument("--engine", choices=(*_ENGINES, "all"),
                    default="bass")
     z.add_argument("--enum-cap", type=_int_at_least(0),
                    default=DEFAULT_ENUM_CAP,

@@ -9,11 +9,13 @@ formula-level test surface.
 
 The closed forms are built five ways: Ihara's spectral product for the
 regular families (Kl, with K and BQ as its cases, O and B), the vertex
-determinant for every fixed-size family (D on 2 vertices, T on 3 and
-the named small graphs on at most 5), Kb's 2 x 2 quotient, M's Dickson
-product, and the kernel polynomials Z_K of the one-loop, handcuff and
-theta kernels in the path monomials u^l for C, G = H(m, n, 0), H and
-Gp. No family keeps a term list.
+determinant of the graph each fixed-size family's builder makes (D on 2
+vertices, T on 3 and the named small graphs on at most 5), Kb's 2 x 2
+quotient, M's Dickson product, and the kernel polynomials Z_K of the
+one-loop, handcuff and theta kernels in the path monomials u^l for C,
+G = H(m, n, 0), H and Gp. No family keeps a term list. For the
+fixed-size families verify_family pits cofactor expansion over Z[u]
+against the engine on one graph; the tests check their builders.
 """
 
 from __future__ import annotations
@@ -245,27 +247,24 @@ def _handcuff_form(m, n, l):
     return a * (a - IntPoly.from_terms([(m + n + 2 * l, 4)]))
 
 
-def _vertex_form(loops, mult):
+def _vertex_form(g):
     """Ihara-Bass: (1 - u^2)^(|E| - |V|) det(I - Au + Qu^2), with no engine.
 
-    loops[v] counts v's loops, each adding 2 to A[v][v] and to v's degree;
-    mult is the symmetric table of the other edges, zero on its diagonal
-    (Bass, Int. J. Math. 3, 1992; Kotani and Sunada, J. Math. Sci. Univ.
-    Tokyo 7, 2000). The closed form of D, T and the named small graphs;
-    _det costs |V|!, so it serves only graphs on at most 5 vertices.
+    Reads g's loops, multiplicity table, degrees and rank; a loop adds 2
+    to A[v][v], as to its vertex's degree (Bass, Int. J. Math. 3, 1992;
+    Kotani and Sunada, J. Math. Sci. Univ. Tokyo 7, 2000). The closed
+    form of D, T and the named small graphs, on the graph each builder
+    makes; _det costs |V|! products, so it serves only graphs on at most
+    5 vertices.
     """
-    deg = [2 * ell + sum(row) for ell, row in zip(loops, mult)]
-    rows = [[IntPoly((1, -2 * loops[v], deg[v] - 1) if v == w else (0, -m))
-             for w, m in enumerate(row)] for v, row in enumerate(mult)]
-    return _det(rows).times_one_minus_u2_pow(sum(deg) // 2 - len(deg))
+    deg = g.degrees()
+    rows = [[IntPoly((1, -2 * g.loops[v], deg[v] - 1) if v == w else (0, -m))
+             for w, m in enumerate(row)] for v, row in enumerate(g.mult)]
+    return _det(rows).times_one_minus_u2_pow(g.rank - 1)
 
 
 def _det(rows):
-    """Cofactor expansion along the first row, in IntPoly arithmetic.
-
-    Used by _vertex_form for D, T and the named small graphs; it costs
-    |V|! products, so it is used only on at most 5 vertices.
-    """
+    """Cofactor expansion along the first row, in IntPoly arithmetic."""
     if len(rows) == 1:
         return rows[0][0]
     return sum(((-e if j & 1 else e)
@@ -344,11 +343,6 @@ NAMED_SMALL = {
 def _named_small_graph(name):
     n, edges = NAMED_SMALL[name]
     return Multigraph(edges, n)
-
-
-def _named_small_form(name):
-    g = _named_small_graph(name)
-    return _vertex_form(g.loops, g.mult)
 
 
 # --- the registry: one entry per family ---
@@ -433,7 +427,7 @@ FAMILIES = {
          (lambda a, b, c: min(2 * a + c, 2 * b + c) >= 2,
           "Dumbbell has a vertex of degree < 2")),
         build=_dumbbell_graph,
-        closed_form=lambda a, b, c: _vertex_form((a, b), ((0, c), (c, 0)))),
+        closed_form=lambda *p: _vertex_form(_dumbbell_graph(*p))),
     "ThreeVertex": Family(
         "T", 6,
         ((lambda *p: min(p) >= 0, "ThreeVertex parameters must be >= 0"),
@@ -443,14 +437,13 @@ FAMILIES = {
              2 * a1 + b12 + b13, 2 * a2 + b12 + b23, 2 * a3 + b13 + b23) >= 2,
           "ThreeVertex has a vertex of degree < 2")),
         build=_three_vertex_graph,
-        closed_form=lambda a1, a2, a3, b12, b13, b23: _vertex_form(
-            (a1, a2, a3), ((0, b12, b13), (b12, 0, b23), (b13, b23, 0)))),
+        closed_form=lambda *p: _vertex_form(_three_vertex_graph(*p))),
     "NamedSmall": Family(
         None, 1,
         ((lambda name: type(name) is str and name in NAMED_SMALL,
           "unknown small-graph id {0!r}"),),
         build=_named_small_graph,
-        closed_form=_named_small_form),
+        closed_form=lambda name: _vertex_form(_named_small_graph(name))),
 }
 
 # CLI shorthand; the long tag names are accepted everywhere too.

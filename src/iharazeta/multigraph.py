@@ -12,8 +12,8 @@ and vertex ids must be of type int (float, str and bool are refused, not
 converted), and the text reader takes ASCII decimals only. Its degrees,
 edge count and connectivity are stored at construction, and its zeta value
 at u = 2 is computed on first use and kept. Bass's vertex matrix
-I - uA + u^2 Q is built in one place, vertex_matrix: at u = 2 for that
-value, at u = 1 (the Laplacian) for the spanning-tree count.
+I - uA + u^2 Q at an integer u is built in vertex_matrix: at u = 2 for
+that value, at u = 1 (the Laplacian) for the spanning-tree count.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from iharazeta.families import (
     verify_family,
 )
 from iharazeta.intpoly import IntPoly
-from iharazeta.multigraph import is_bipartite, validate_zeta_input
+from iharazeta.multigraph import Multigraph, is_bipartite, validate_zeta_input
 from iharazeta.smallgraphs import canonical_key
 from iharazeta.zeta import zeta_bass
 
@@ -279,8 +279,8 @@ def test_handcuff_form_is_symmetric_in_its_loops():
 def test_one_vertex_determinant_is_the_bouquets_spectral_product():
     # ties the vertex determinant to _regular_form with no engine involved
     for a in range(1, 15):
-        assert families._vertex_form((a,), ((0,),)) == closed_form(
-            family_spec("Bouquet", a)), a
+        assert families._vertex_form(Multigraph([(0, 0)] * a, 1)) == (
+            closed_form(family_spec("Bouquet", a))), a
 
 
 def test_complete_form_is_the_papers_product_beyond_the_grids():
@@ -391,6 +391,6 @@ def test_verify_family_names_first_mismatching_power(monkeypatch):
     vertex_form = families._vertex_form
     monkeypatch.setattr(
         families, "_vertex_form",
-        lambda loops, mult: vertex_form(loops, mult) + IntPoly((0, 0, 1)))
+        lambda g: vertex_form(g) + IntPoly((0, 0, 1)))
     with pytest.raises(VerificationError, match=r"u\^2"):
         verify_family(family_spec("NamedSmall", "triple-edge"))

@@ -183,4 +183,6 @@ def test_hash_and_eq():
     assert IntPoly((1, 2)) != IntPoly((1, 2, 3))
     d = {IntPoly((1, 2)): "a"}
     assert d[IntPoly((1, 2, 0))] == "a"
+    with pytest.raises(AttributeError):
+        IntPoly((1, 2)).coeffs = (3,)
 

@@ -84,6 +84,7 @@ def test_immutable_and_hashable():
     assert g == h
     assert hash(g) == hash(h)
     assert g != cycle(4)
+    assert g != g.edge_list() and g != "n 3"
 
 
 def test_stored_reference_leaves_equality_and_hash_alone():

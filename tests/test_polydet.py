@@ -4,7 +4,7 @@ polynomial kernel det(I - uM)."""
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
@@ -504,3 +504,7 @@ def test_prime_search():
                       (2 ** 64 + 1, 274177)):
         assert is_proth(n) and n % factor == 0
         assert not polydet._proth_proves_prime(n)
+    # a Proth prime that every base from 3 to 47 sends to +1 stays unproven
+    n = 18975 * 2 ** 16 + 1
+    assert is_proth(n) and all(n % d for d in range(3, isqrt(n) + 1, 2))
+    assert not polydet._proth_proves_prime(n)

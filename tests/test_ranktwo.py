@@ -7,6 +7,7 @@ import pytest
 from iharazeta import families, multigraph, ranktwo, zeta
 from iharazeta.errors import ParameterError, VerificationError
 from iharazeta.families import FamilySpec, closed_form, family_spec, gen_family
+from iharazeta.intpoly import IntPoly
 from iharazeta.multigraph import kirchhoff_tree_count, parse_edge_list_text
 from iharazeta.ranktwo import (
     RANK_TWO_TAGS,
@@ -88,6 +89,8 @@ def test_decode_rejects_other_ranks():
                  family_spec("Complete", 4), family_spec("Bouquet", 3)):
         assert decode_rank2(closed_form(spec)) is None
         assert decode_rank2(zeta_bass(gen_family(spec))) is None
+    # leading coefficient -4, but no negative power follows u^1
+    assert decode_rank2(IntPoly((1, -2, 0, -4))) is None
 
 
 def test_decoder_with_swapped_branches_is_caught(monkeypatch):
