@@ -19,6 +19,7 @@ that value, at u = 1 (the Laplacian) for the spanning-tree count.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 
 from .errors import InputError
 from .polydet import bareiss_int_det
@@ -108,12 +109,13 @@ class Multigraph:
 
     def edge_list(self):
         """Labelled expansion: one (u, v) pair per edge, u <= v, loops as (v, v)."""
+        n, loops = self.n, self.loops
         out = []
-        for v in range(self.n):
-            out.extend([(v, v)] * self.loops[v])
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                out.extend([(i, j)] * self.mult[i][j])
+        for v in compress(range(n), loops):
+            out += [(v, v)] * loops[v]
+        for i, row in enumerate(self.mult):
+            for j in compress(range(i + 1, n), row[i + 1:]):
+                out += [(i, j)] * row[j]
         return out
 
     def neighbors(self, v: int):

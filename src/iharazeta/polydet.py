@@ -1,18 +1,20 @@
 """Exact determinants: bareiss_int_det over the integers, for the engines'
 output check at u = 2 and for Kirchhoff's tree count, and
 reversed_charpoly, the det(I - uM) kernel of both determinant engines (one
-pass modulo a Proth prime above twice a Euclidean Hadamard bound, whose row
-step delays its reduction: entries stay below (n + 1) p^2, and every zero
-test that decides something reads a residue; one residue scan per pivot
-column finds the pivot and the rows to eliminate, and the recurrence that
-follows visits only the nonzero entries of the reduced matrix)."""
+pass modulo a Proth prime above twice a Euclidean Hadamard bound, on a
+plain copy of the caller's integers; its row step delays its reduction, and
+a column step that eliminates one row changes only the rows with a stored
+nonzero in that row's column: entries stay below (n + 1) p^2, and every
+zero test that decides something reads a residue; one residue scan per
+pivot column finds the pivot and the rows to eliminate, and the recurrence
+that follows visits only the nonzero entries of the reduced matrix)."""
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import compress
 from math import gcd, isqrt, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .intpoly import IntPoly
 
@@ -84,7 +86,8 @@ def bareiss_int_det(matrix) -> int:
 def reversed_charpoly(matrix) -> IntPoly:
     """det(I - uM) for a square matrix M (a sequence of rows) of Python
     ints, exactly. The caller's matrix is left unmodified: the bound is read
-    from its rows, and the reduction modulo P is the only copy.
+    from its rows, and the kernel works on one copy, list(row) per row, of
+    its integers.
 
     This is the characteristic polynomial det(xI - M) with its coefficient
     list reversed, computed in one pass modulo a single prime P > 2B,
@@ -92,12 +95,14 @@ def reversed_charpoly(matrix) -> IntPoly:
     value. P is the least Proth prime above 2^b, where 2^(2b) > 4B^2 is
     checked in integers, so no square root is taken; the search tries
     each candidate by trial division (one gcd with the odd primes below
-    2000) before Proth's test. The pass delays its reduction in the row
-    step (see _charpoly_mod): stored entries stay below (n + 1) P^2, the
-    multipliers, the pivot row's support and the column-step sums are
-    reduced, the recurrence reduces the diagonal, the subdiagonal and
-    each term it takes from above the diagonal, and the residues returned
-    are those of a reduction after every update.
+    2000) before Proth's test. The pass delays its reduction (see
+    _charpoly_mod): the copy starts from the caller's entries, below P/2 in
+    absolute value, and stored entries stay below (n + 1) P^2; the
+    multipliers, the pivot row's support and the column-step sums of the
+    rows a column step changes are reduced, the recurrence reduces the
+    diagonal, the subdiagonal and each term it takes from above the
+    diagonal, and the residues returned are those of a reduction after
+    every update.
 
     B bounds every |c_k| of f(u) = det(I - uM) = sum_k c_k u^k. Proof:
     Cauchy's estimate on the unit circle gives |c_k| <= max_{|u|=1} |f(u)|.
@@ -117,7 +122,7 @@ def reversed_charpoly(matrix) -> IntPoly:
 
 
 def _square(matrix):
-    if any(len(row) != len(matrix) for row in matrix):
+    if any(map(len(matrix).__ne__, map(len, matrix))):
         raise ValueError("matrix must be square")
     return matrix
 
@@ -140,8 +145,16 @@ def _charpoly_mod(m, p: int):
     h_ij -= t x with no % p, and the eliminated entry is set to 0. The
     multiplier t and the pivot row's values x are reduced, so each update
     adds less than p^2 in absolute value; a row takes at most one update
-    per step, so every stored entry stays below (n + 1) p^2. The column
-    step reduces each row's sum, so H itself is never reduced again.
+    per step, so every stored entry stays below (n + 1) p^2 when M's
+    entries are below p in absolute value, as reversed_charpoly's are.
+
+    The working copy is M's integers as they are, so an entry may be a
+    nonzero multiple of p before any step touches it. The column step
+    C_k += t_i C_i reduces each row's sum when it eliminates several rows.
+    When it eliminates one row i, a row whose stored entry in column i is
+    0 gains nothing: the step adds into column k and reduces only in the
+    other rows, and an entry it leaves keeps its stored value. No pass
+    reduces H as a whole.
 
     The recurrence for column j keeps the block start b, the last row at
     or above j whose subdiagonal residue h_{b, b-1} is 0 (b = 0 if none),
@@ -155,7 +168,7 @@ def _charpoly_mod(m, p: int):
     diagonal, the subdiagonal and each term of the recurrence.
     """
     n = len(m)
-    h = [[x % p for x in row] for row in m]
+    h = [list(row) for row in m]
     for k in range(1, n - 1):
         col = k - 1
         # the rows at or below k whose entry in col is nonzero modulo p:
@@ -185,12 +198,19 @@ def _charpoly_mod(m, p: int):
             for j, v in support:
                 hi[j] -= t * v
         # columns: C_k += t_i C_i, completing the similarity transform
-        for row in h:
-            acc = row[k]
-            for i, t in mults:
-                if row[i]:
-                    acc += t * row[i]
-            row[k] = acc % p
+        if len(mults) == 1:
+            # one row i eliminated: only the rows with a stored nonzero in
+            # column i change, and only their sums are reduced
+            (i, t), = mults
+            for row in compress(h, map(itemgetter(i), h)):
+                row[k] = (row[k] + t * row[i]) % p
+        else:
+            for row in h:
+                acc = row[k]
+                for i, t in mults:
+                    if row[i]:
+                        acc += t * row[i]
+                row[k] = acc % p
     # chars[j] = det(xI - H_j) for the leading j x j block of H; b and
     # sub are the block start and the subdiagonal products for column j
     cols = list(zip(*h))

@@ -197,6 +197,31 @@ def test_edge_list_order_and_round_trip():
     assert Multigraph(g.edge_list(), g.n) == g
 
 
+def edge_list_oracle(g):
+    """The labelled expansion by a double loop over every cell of the
+    table: loops first, then the pairs i < j in row order."""
+    out = []
+    for v in range(g.n):
+        out.extend([(v, v)] * g.loops[v])
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            out.extend([(i, j)] * g.mult[i][j])
+    return out
+
+
+def test_edge_list_matches_the_double_loop(sweep7):
+    # edge_list visits only the nonzero loop counts and table cells; the
+    # sweep, D, T and BQ with loops and parallel edges, and a disconnected
+    # graph with an isolated vertex must expand as every cell read in turn
+    specs = ["D(0,0,2)", "D(2,1,3)", "D(1,2,1)", "T(1,0,0,2,2,0)",
+             "T(0,1,2,2,0,1)", "T(2,1,0,1,1,2)", "BQ(1)", "BQ(4)"]
+    graphs = list(sweep7) + [gen_family(parse_family_spec(s)) for s in specs]
+    graphs.append(Multigraph([(0, 1), (0, 1), (3, 3), (3, 4), (4, 4)], 6))
+    for g in graphs:
+        assert g.edge_list() == edge_list_oracle(g)
+    assert not graphs[-1].connected
+
+
 def test_neighbors_skip_loops():
     g = Multigraph([(0, 0), (0, 1), (1, 2)], 3)
     assert g.neighbors(0) == [1]

@@ -8,9 +8,11 @@ from math import isqrt, prod
 
 import pytest
 
-from iharazeta import polydet
+from iharazeta import polydet, zeta
+from iharazeta.families import gen_family, parse_family_spec
 from iharazeta.intpoly import IntPoly
 from iharazeta.polydet import bareiss_int_det, reversed_charpoly
+from iharazeta.ranktwo import enumerate_rank2
 
 
 def leibniz_det(m):
@@ -105,6 +107,35 @@ def test_caller_matrix_is_left_unmodified(row_type):
         assert all(a is b for a, b in zip(matrix, rows))
 
 
+def kernel_inputs(monkeypatch, engine, graphs):
+    """The matrices the engine hands the kernel, one per graph, each with
+    its row objects and a copy of its values taken before the call."""
+    seen = []
+
+    def capture(matrix):
+        seen.append((matrix, list(matrix), [list(row) for row in matrix]))
+        return reversed_charpoly(matrix)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(zeta, "reversed_charpoly", capture)
+        for g in graphs:
+            engine(g)
+    return seen
+
+
+def test_kernel_leaves_engine_matrices_unmodified(monkeypatch):
+    # the kernel's working copy is list(row) of the caller's rows, stored
+    # as they are: a rank-two T, whose every step eliminates one row, and
+    # a Bass B with its negative -q_v keep their values and row objects
+    line = kernel_inputs(monkeypatch, zeta.zeta_line_det,
+                         [gen_family(enumerate_rank2(14)[-1])])
+    bass = kernel_inputs(monkeypatch, zeta.zeta_bass,
+                         [gen_family(parse_family_spec("D(2,1,3)"))])
+    for matrix, rows, values in line + bass:
+        assert matrix == values
+        assert all(a is b for a, b in zip(matrix, rows))
+
+
 def at_point(m, x):
     """det(I - xM) by Bareiss: the reference the kernel is checked against."""
     n = len(m)
@@ -128,6 +159,13 @@ def test_reversed_charpoly_known_values():
     assert reversed_charpoly([[1, 2], [3, 4]]) == IntPoly((1, -5, -2))
     with pytest.raises(ValueError):
         reversed_charpoly([[1, 2]])
+
+
+@pytest.mark.parametrize("det", [reversed_charpoly, bareiss_int_det])
+def test_ragged_matrix_with_the_right_row_count_is_refused(det):
+    # two rows, as a 2 x 2 matrix has, but the second holds one entry
+    with pytest.raises(ValueError, match="square"):
+        det([[1, 2], [3]])
 
 
 def test_reversed_charpoly_vs_bareiss_random():
@@ -441,6 +479,43 @@ def test_kernel_recurrence_reads_residues_of_last_column():
         [0, 0, 1, 0],
     ]
     assert polydet._charpoly_mod(m, 5) == charpoly_mod_oracle(m, 5)
+
+
+def test_kernel_one_row_step_adds_a_stored_multiple_of_p():
+    # modulo 5, step 1 eliminates row 2 alone (t = 2), so its column step
+    # C_1 += 2 C_2 visits only the rows with a stored nonzero in column 2.
+    # Row 3 stores 5 there, a nonzero multiple of p taken as it is into
+    # the working copy: it is visited and adds 2 * 5, a zero residue, so
+    # h_31 stays 0 and step 2 has nothing to eliminate. Row 0 stores 0 in
+    # column 2 and is skipped, so h_01 keeps its stored 7 until the
+    # recurrence reads it as 2
+    m = [
+        [0, 7, 0, 1],
+        [1, 0, 1, 0],
+        [2, 1, 0, 0],
+        [0, 0, 5, 1],
+    ]
+    assert polydet._charpoly_mod(m, 5) == charpoly_mod_oracle(m, 5)
+
+
+def test_kernel_on_rank_two_line_graphs_with_unreduced_entries(monkeypatch):
+    # T of rank-two specs with 8 to 20 edges: at the kernel's own prime
+    # every elimination step removes one row. With 1 to 3 entries set to
+    # p, -p, 3p + 1 or -2 the working copy holds integers outside 0 .. p - 1
+    # and the one-row steps leave unreduced entries in the rows they skip,
+    # which the pivot search and the recurrence must read as residues
+    rng = random.Random(40)
+    graphs = [g for g in map(gen_family, enumerate_rank2(20))
+              if g.edge_count >= 8]
+    sample = rng.sample(graphs, 10)
+    for matrix, _, _ in kernel_inputs(monkeypatch, zeta.zeta_line_det, sample):
+        for p in (3, 5, 7, 101):
+            m = [list(row) for row in matrix]
+            n = len(m)
+            for _ in range(rng.randint(1, 3)):
+                m[rng.randrange(n)][rng.randrange(n)] = rng.choice(
+                    (p, -p, 3 * p + 1, -2))
+            assert polydet._charpoly_mod(m, p) == charpoly_mod_oracle(m, p)
 
 
 def test_kernel_sparse_and_near_permutation_against_interpolation():
